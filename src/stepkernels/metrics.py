@@ -12,6 +12,7 @@ an exactness flag and the best permutation found.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,8 +31,10 @@ from .search import (
     SearchBudget,
     SearchResult,
     anneal_permutation,
-    iter_permutation_chunks,
+    chunked,
+    pair_reduce,
     qap_optimize,
+    rectangle_search,
 )
 
 __all__ = [
@@ -237,7 +240,7 @@ def cut_dist_search(
     fam: Optional[TestFamily] = None,
     budget: Optional[SearchBudget] = None,
 ) -> SearchResult:
-    """Alternating local search over subset pairs; a flagged lower bound.
+    """Rectangle supremum by ``rectangle_search``; a flagged lower bound.
 
     Falls through to the exact tier when the part count allows it.
     """
@@ -253,58 +256,17 @@ def cut_dist_search(
         if metric == "lp":
             return SearchResult(cut_dist_lp(u, w), True, None)
         return SearchResult(cut_dist_f(u, w, fam), True, None)
-    budget = budget or SearchBudget()
-    wu, ww = _weighted_entries(u), _weighted_entries(w)
-    m = u.space.size
+    if metric == "lp":
+        def objective(mus: np.ndarray, nus: np.ndarray) -> np.ndarray:
+            return lp_distance_batch(u.space, np.clip(mus, 0.0, None), np.clip(nus, 0.0, None))
+    else:
+        def objective(mus: np.ndarray, nus: np.ndarray) -> np.ndarray:
+            return np.abs((mus - nus) @ fam.values.T) @ fam.scale_weights()
 
-    def objective(pairs_u: np.ndarray, pairs_w: np.ndarray) -> np.ndarray:
-        if metric == "lp":
-            return lp_distance_batch(
-                u.space, np.clip(pairs_u, 0.0, None), np.clip(pairs_w, 0.0, None)
-            )
-        scale = fam.scale_weights()
-        return np.abs((pairs_u - pairs_w) @ fam.values.T) @ scale
-
-    best, best_cert = 0.0, None
-    for r in range(budget.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(11, r)))
-        if r == 0:
-            s = np.ones(p, dtype=bool)
-            t = np.ones(p, dtype=bool)
-        else:
-            s = rng.random(p) < 0.5
-            t = rng.random(p) < 0.5
-        for _ in range(64):
-            mu = np.einsum("p,pqm,q->m", s.astype(float), wu, t.astype(float))
-            nu = np.einsum("p,pqm,q->m", s.astype(float), ww, t.astype(float))
-            val = float(objective(mu[None, :], nu[None, :])[0])
-            # evaluate every single-coordinate flip of S and of T in one batch
-            cand_u = np.empty((2 * p, m))
-            cand_w = np.empty((2 * p, m))
-            row_u = np.einsum("pqm,q->pm", wu, t.astype(float))
-            row_w = np.einsum("pqm,q->pm", ww, t.astype(float))
-            col_u = np.einsum("p,pqm->qm", s.astype(float), wu)
-            col_w = np.einsum("p,pqm->qm", s.astype(float), ww)
-            sign_s = np.where(s, -1.0, 1.0)[:, None]
-            sign_t = np.where(t, -1.0, 1.0)[:, None]
-            cand_u[:p] = mu + sign_s * row_u
-            cand_w[:p] = nu + sign_s * row_w
-            cand_u[p:] = mu + sign_t * col_u
-            cand_w[p:] = nu + sign_t * col_w
-            vals = objective(cand_u, cand_w)
-            i = int(np.argmax(vals))
-            if vals[i] <= val + 1e-15:
-                break
-            if i < p:
-                s[i] = ~s[i]
-            else:
-                t[i - p] = ~t[i - p]
-        mu = np.einsum("p,pqm,q->m", s.astype(float), wu, t.astype(float))
-        nu = np.einsum("p,pqm,q->m", s.astype(float), ww, t.astype(float))
-        val = float(objective(mu[None, :], nu[None, :])[0])
-        if val > best:
-            best, best_cert = val, (s.copy(), t.copy())
-    return SearchResult(best, False, best_cert)
+    value, cert = rectangle_search(
+        _weighted_entries(u), _weighted_entries(w), objective, budget or SearchBudget(), key=11
+    )
+    return SearchResult(value, False, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -469,18 +431,8 @@ def _delta_exhaustive(u, w, metric, fam):
             u.space, pairs_u.reshape(-1, m), pairs_w.reshape(-1, m)
         ).reshape(n, n, n, n)
 
-    all_perms = []
-    all_bounds = []
-    for chunk in iter_permutation_chunks(n, chunk=8192):
-        lb = np.zeros(chunk.shape[0])
-        for a in range(n):
-            pa = chunk[:, a]
-            for b in range(n):
-                np.maximum(lb, single[a, b][pa, chunk[:, b]], out=lb)
-        all_perms.append(chunk)
-        all_bounds.append(lb)
-    perms = np.concatenate(all_perms)
-    bounds = np.concatenate(all_bounds)
+    perms = np.concatenate(list(chunked(itertools.permutations(range(n)))))
+    bounds = pair_reduce(single, perms, np.maximum)
     order = np.argsort(bounds, kind="stable")
     perms = perms[order]
     bounds = bounds[order]

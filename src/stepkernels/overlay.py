@@ -11,7 +11,6 @@ the quadratic may be indefinite).
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +32,7 @@ from .kernels import (
 )
 from .measures import ABS_TOL, TestFamily
 from .metrics import _f_interaction_tensor, f_inner
-from .search import SearchBudget, qap_optimize
+from .search import SearchBudget, argmax_chunks, chunked, pair_reduce, qap_optimize
 
 __all__ = [
     "GRID_ORACLE_CAP",
@@ -154,24 +153,6 @@ def _iter_count_assignments(n: int, counts: np.ndarray):
     yield from rec(0, counts.copy())
 
 
-def _chunked(iterator, size: int):
-    while True:
-        block = list(itertools.islice(iterator, size))
-        if not block:
-            return
-        yield np.array(block, dtype=np.intp)
-
-
-def _assignment_values(c_ref: np.ndarray, chunk: np.ndarray) -> np.ndarray:
-    n = chunk.shape[1]
-    total = np.zeros(chunk.shape[0])
-    for a in range(n):
-        za = chunk[:, a]
-        for b in range(n):
-            total += c_ref[a, b][za, chunk[:, b]]
-    return total
-
-
 def overlay_graph(
     kernel: StepKernel,
     graph: CbGraph,
@@ -225,14 +206,9 @@ def _overlay_graph_grid(kernel, graph, alpha, n) -> OverlayResult:
     refined = uniform_refine(kernel, n)
     counts = np.rint(alpha * n).astype(int)
     c_ref = _interaction(refined, graph) / float(n * n)
-    best = -np.inf
-    best_assignment = None
-    for chunk in _chunked(_iter_count_assignments(n, counts), 4096):
-        vals = _assignment_values(c_ref, chunk)
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best = float(vals[i])
-            best_assignment = chunk[i].copy()
+    best, best_assignment = argmax_chunks(
+        chunked(_iter_count_assignments(n, counts)), lambda z: pair_reduce(c_ref, z)
+    )
     rho_cells = OverlapMatrix.from_assignment(refined.part_sizes, best_assignment, graph.n_vertices)
     # fold cell-level overlaps back onto the original parts
     owner = np.repeat(

@@ -17,6 +17,7 @@ import numpy as np
 from .kernels import StepKernel, uniform_refine
 from .measures import DecorationSpace, SignedMeasure, _subset_masks, lp_distance_batch
 from .overlay import OverlapMatrix
+from .search import SearchBudget, SearchResult, chunked, rectangle_search
 
 __all__ = [
     "DSQUARE_ENUM_MAX",
@@ -161,59 +162,22 @@ def dsquare_quotient(a: Quotient, b: Quotient) -> float:
     return float(np.abs(a.alpha - b.alpha).sum() + d.max(initial=0.0))
 
 
-def dsquare_quotient_search(a: Quotient, b: Quotient, budget=None) -> "SearchResult":
-    """Rectangle supremum by flip local search; a flagged lower bound.
+def dsquare_quotient_search(a: Quotient, b: Quotient, budget=None) -> SearchResult:
+    """Rectangle supremum by ``rectangle_search``; a flagged lower bound.
 
     Falls through to the exact enumeration when the cell count allows it.
     """
-    from .search import SearchBudget, SearchResult
-
     _check_comparable(a, b)
-    k = a.k
-    if k <= DSQUARE_ENUM_MAX:
+    if a.k <= DSQUARE_ENUM_MAX:
         return SearchResult(dsquare_quotient(a, b), True, None)
-    budget = budget or SearchBudget()
-    sa = _require_nonneg_scaled(a, "first quotient")
-    sb = _require_nonneg_scaled(b, "second quotient")
-    m = a.space.size
-    alpha_term = float(np.abs(a.alpha - b.alpha).sum())
-
-    def agg(scaled, s, t):
-        return np.einsum("i,ijm,j->m", s.astype(float), scaled, t.astype(float))
-
-    best = 0.0
-    for r in range(budget.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(41, r)))
-        s = np.ones(k, dtype=bool) if r == 0 else rng.random(k) < 0.5
-        t = np.ones(k, dtype=bool) if r == 0 else rng.random(k) < 0.5
-        for _ in range(64):
-            val = float(lp_distance_batch(
-                a.space, agg(sa, s, t)[None, :], agg(sb, s, t)[None, :]
-            )[0])
-            cand_mu = np.empty((2 * k, m))
-            cand_nu = np.empty((2 * k, m))
-            for i in range(k):
-                s[i] = ~s[i]
-                cand_mu[i] = agg(sa, s, t)
-                cand_nu[i] = agg(sb, s, t)
-                s[i] = ~s[i]
-                t[i] = ~t[i]
-                cand_mu[k + i] = agg(sa, s, t)
-                cand_nu[k + i] = agg(sb, s, t)
-                t[i] = ~t[i]
-            vals = lp_distance_batch(a.space, cand_mu, cand_nu)
-            j = int(np.argmax(vals))
-            if vals[j] <= val + 1e-15:
-                break
-            if j < k:
-                s[j] = ~s[j]
-            else:
-                t[j - k] = ~t[j - k]
-        final = float(lp_distance_batch(
-            a.space, agg(sa, s, t)[None, :], agg(sb, s, t)[None, :]
-        )[0])
-        best = max(best, final)
-    return SearchResult(alpha_term + best, False, None)
+    value, _ = rectangle_search(
+        _require_nonneg_scaled(a, "first quotient"),
+        _require_nonneg_scaled(b, "second quotient"),
+        lambda mus, nus: lp_distance_batch(a.space, mus, nus),
+        budget or SearchBudget(),
+        key=41,
+    )
+    return SearchResult(float(np.abs(a.alpha - b.alpha).sum()) + value, False, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,15 +206,6 @@ def _dedup_key(alpha: np.ndarray, scaled: np.ndarray) -> bytes:
         np.round(alpha, DEDUP_DECIMALS).tobytes()
         + np.round(scaled, DEDUP_DECIMALS).tobytes()
     )
-
-
-def _iter_assignments(n: int, k: int, chunk: int = 4096):
-    it = itertools.product(range(k), repeat=n)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield np.array(block, dtype=np.intp)
 
 
 def quotient_cloud(
@@ -286,11 +241,11 @@ def quotient_cloud(
                 raise ValueError("alpha is not realizable on the requested grid")
             target_counts = np.rint(target).astype(int)
         members: dict[bytes, Quotient] = {}
-        for chunk in _iter_assignments(n, k):
+        for chunk in chunked(itertools.product(range(k), repeat=n)):
+            if target_counts is not None:
+                counts = (chunk[:, :, None] == np.arange(k)).sum(axis=1)
+                chunk = chunk[(counts == target_counts).all(axis=1)]
             for z in chunk:
-                if target_counts is not None:
-                    if not np.array_equal(np.bincount(z, minlength=k), target_counts):
-                        continue
                 q = quotient(refined, (z, k))
                 members.setdefault(_dedup_key(q.alpha, q.scaled()), q)
         provenance = {"mode": "enumerate", "cells": int(n), "k": int(k)}
@@ -371,21 +326,20 @@ def quotient_cloud(
 
 
 def _stratified_counts(n: int, k: int, total: int, rng) -> list[np.ndarray]:
-    counts: list[np.ndarray] = []
     if k == 2:
         grid = np.unique(np.round(np.linspace(0, n, max(2, min(total, n + 1)))).astype(int))
-        counts.extend(np.array([c, n - c]) for c in grid)
-    else:
-        for i in range(k):
-            corner = np.zeros(k, dtype=int)
-            corner[i] = n
-            counts.append(corner)
-        balanced = np.full(k, n // k)
-        balanced[: n % k] += 1
-        counts.append(balanced)
-        while len(counts) < total:
-            counts.append(rng.multinomial(n, rng.dirichlet(np.ones(k))))
-    return counts[:max(total, len(counts))] if k == 2 else counts[:total]
+        return [np.array([c, n - c]) for c in grid]
+    counts: list[np.ndarray] = []
+    for i in range(k):
+        corner = np.zeros(k, dtype=int)
+        corner[i] = n
+        counts.append(corner)
+    balanced = np.full(k, n // k)
+    balanced[: n % k] += 1
+    counts.append(balanced)
+    while len(counts) < total:
+        counts.append(rng.multinomial(n, rng.dirichlet(np.ones(k))))
+    return counts[:total]
 
 
 def _pairwise_d1(a_members, b_members, space) -> np.ndarray:

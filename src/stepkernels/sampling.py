@@ -18,7 +18,7 @@ import numpy as np
 
 from .kernels import RealStepKernel, StepKernel, uniform_refine_real
 from .measures import DecorationSpace
-from .metrics import DeltaResult, cut_norm_real, cut_norm_real_search, delta_cut
+from .metrics import DeltaResult, cut_norm_real_search, delta_cut
 from .overlay import overlay_graph, f_overlay
 from .quotients import hausdorff, quotient_cloud
 from .search import SearchBudget, anneal_permutation
@@ -212,13 +212,9 @@ def mixture_delta_n(
         total = 0.0
         all_exact = True
         for w, h in components:
-            diff = RealStepKernel(h.part_sizes, w.values - h.values)
-            if n <= 24:
-                total += cut_norm_real(diff)
-            else:
-                res = cut_norm_real_search(diff, budget)
-                total += res.value
-                all_exact = False
+            res = cut_norm_real_search(RealStepKernel(h.part_sizes, w.values - h.values), budget)
+            total += res.value
+            all_exact = all_exact and res.exact
         return total, all_exact
 
     constant = all(np.ptp(w.values) <= 1e-12 for w in model.weights)

@@ -1,9 +1,14 @@
-"""Permutation search shared by the distance and overlay optimizers.
+"""The search loops behind every optimizer in the package.
 
-Two tiers: exhaustive enumeration up to ``EXACT_PERM_MAX`` parts, and
-simulated annealing (geometric cooling, random-transposition proposals,
-exponential acceptance) beyond.  All randomness is keyed by explicit seeds;
-restarts are independent and the result is the deterministic best-of.
+Callers supply only the objective.  Chunked enumeration (``chunked``,
+``pair_reduce``, ``argmax_chunks``) is exhaustive, hence exact, up to
+``EXACT_PERM_MAX`` parts and in the grid oracles.  ``flip_search`` climbs by
+single-coordinate flips of a boolean vector and gives a flagged lower bound;
+``rectangle_search`` runs it over the rows and columns of S x T.
+``anneal_permutation`` is simulated annealing over permutations (geometric
+cooling, random-transposition proposals, exponential acceptance).  All
+randomness is keyed by explicit seeds; restarts are independent and the
+result is the deterministic best-of.
 """
 
 from __future__ import annotations
@@ -11,21 +16,27 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 __all__ = [
     "EXACT_PERM_MAX",
+    "FLIP_STEPS",
     "SearchBudget",
     "SearchResult",
-    "iter_permutation_chunks",
+    "chunked",
+    "pair_reduce",
+    "argmax_chunks",
+    "flip_search",
+    "rectangle_search",
     "qap_value",
     "qap_optimize",
     "anneal_permutation",
 ]
 
 EXACT_PERM_MAX = 8
+FLIP_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -54,13 +65,113 @@ class SearchResult:
         return {"value": self.value, "exact": self.exact, "certificate": cert}
 
 
-def iter_permutation_chunks(n: int, chunk: int = 4096) -> Iterator[np.ndarray]:
-    it = itertools.permutations(range(n))
+def chunked(rows: Iterable, size: int = 4096) -> Iterator[np.ndarray]:
+    """The rows of an iterable of integer sequences, as (<= size, n) arrays."""
+    it = iter(rows)
     while True:
-        block = list(itertools.islice(it, chunk))
+        block = list(itertools.islice(it, size))
         if not block:
             return
         yield np.array(block, dtype=np.intp)
+
+
+def pair_reduce(table: np.ndarray, rows: np.ndarray, op=np.add) -> np.ndarray:
+    """Reduce table[a, b, rows[:, a], rows[:, b]] over all (a, b), per row.
+
+    With ``np.add`` this is the quadratic-assignment value of every row of
+    ``rows`` at once; the reduction starts from zeros.
+    """
+    n = rows.shape[1]
+    out = np.zeros(rows.shape[0])
+    for a in range(n):
+        ra = rows[:, a]
+        for b in range(n):
+            op(out, table[a, b][ra, rows[:, b]], out=out)
+    return out
+
+
+def argmax_chunks(
+    chunks: Iterable[np.ndarray], values: Callable[[np.ndarray], np.ndarray]
+) -> tuple[float, Optional[np.ndarray]]:
+    """Largest entry of ``values(chunk)`` over all chunks, and its row.
+
+    The first row attaining the maximum wins; no chunks give (-inf, None).
+    """
+    best_val, best_row = -np.inf, None
+    for chunk in chunks:
+        vals = values(chunk)
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val, best_row = float(vals[i]), chunk[i].copy()
+    return best_val, best_row
+
+
+def flip_search(
+    scan: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    length: int,
+    budget: SearchBudget,
+    key: int,
+) -> tuple[float, Optional[np.ndarray]]:
+    """Best-improvement flip search over boolean vectors; a lower bound.
+
+    ``scan(x)`` returns the objective at ``x`` and an array of its values
+    after flipping each single coordinate.  Restart 0 starts from all-ones,
+    later restarts from seeded random vectors (``spawn_key=(key, r)``).  Each
+    restart takes the best flip while it improves by more than 1e-15, for at
+    most FLIP_STEPS flips.  Returns the best value found, at least 0.0, and
+    the vector attaining it (None if no restart exceeded 0.0).
+    """
+    best, best_x = 0.0, None
+    for r in range(budget.restarts):
+        if r == 0:
+            x = np.ones(length, dtype=bool)
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(key, r)))
+            x = rng.random(length) < 0.5
+        for _ in range(FLIP_STEPS):
+            value, flips = scan(x)
+            i = int(np.argmax(flips))
+            if flips[i] <= value + 1e-15:
+                break
+            x[i] = ~x[i]
+        else:
+            value, _ = scan(x)
+        if value > best:
+            best, best_x = value, x.copy()
+    return best, best_x
+
+
+def rectangle_search(
+    blocks_u: np.ndarray,
+    blocks_w: np.ndarray,
+    objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    budget: SearchBudget,
+    key: int,
+) -> tuple[float, Optional[tuple[np.ndarray, np.ndarray]]]:
+    """Flip search for the rectangle S x T maximizing the objective.
+
+    ``blocks_u`` and ``blocks_w`` are (P, P, m) block masses; ``objective``
+    maps two (B, m) arrays of rectangle masses to B values.  Flipping row i
+    changes the rectangle mass by +-(row i over T), flipping column j by
+    +-(column j over S), so one scan prices all 2P flips with three
+    contractions per kernel.  Returns the best value and its (S, T) pair
+    (None if no rectangle beat 0.0).
+    """
+    p = blocks_u.shape[0]
+
+    def scan(x):
+        s, t = x[:p].astype(float), x[p:].astype(float)
+        sign = np.where(x, -1.0, 1.0)[:, None]
+        masses, flips = [], []
+        for blocks in (blocks_u, blocks_w):
+            mass = np.einsum("p,pqm,q->m", s, blocks, t)
+            rows, cols = np.einsum("pqm,q->pm", blocks, t), np.einsum("p,pqm->qm", s, blocks)
+            masses.append(mass[None, :])
+            flips.append(mass + sign * np.concatenate([rows, cols]))
+        return float(objective(*masses)[0]), objective(*flips)
+
+    value, x = flip_search(scan, 2 * p, budget, key)
+    return value, None if x is None else (x[:p], x[p:])
 
 
 def qap_value(interactions: np.ndarray, perm: np.ndarray) -> float:
@@ -68,36 +179,6 @@ def qap_value(interactions: np.ndarray, perm: np.ndarray) -> float:
     n = perm.size
     idx = np.ix_(np.arange(n), np.arange(n))
     return float(interactions[idx[0], idx[1], perm[:, None], perm[None, :]].sum())
-
-
-def _qap_values_bulk(interactions: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    n = perms.shape[1]
-    total = np.zeros(perms.shape[0])
-    for a in range(n):
-        pa = perms[:, a]
-        for b in range(n):
-            total += interactions[a, b][pa, perms[:, b]]
-    return total
-
-
-def _qap_swap_delta(interactions, perm, energy_rows, u, v):
-    """Energy change when the images of u and v are transposed.
-
-    ``energy_rows`` caches nothing; the delta is recomputed from the affected
-    rows and columns in O(n).
-    """
-    n = perm.size
-    new = perm.copy()
-    new[u], new[v] = perm[v], perm[u]
-    rows = np.array([u, v])
-    others = np.arange(n)
-    old = interactions[rows[:, None], others[None, :], perm[rows][:, None], perm[others][None, :]].sum()
-    old += interactions[others[:, None], rows[None, :], perm[others][:, None], perm[rows][None, :]].sum()
-    old -= interactions[rows[:, None], rows[None, :], perm[rows][:, None], perm[rows][None, :]].sum()
-    upd = interactions[rows[:, None], others[None, :], new[rows][:, None], new[others][None, :]].sum()
-    upd += interactions[others[:, None], rows[None, :], new[others][:, None], new[rows][None, :]].sum()
-    upd -= interactions[rows[:, None], rows[None, :], new[rows][:, None], new[rows][None, :]].sum()
-    return float(upd - old), new
 
 
 def qap_optimize(
@@ -110,40 +191,17 @@ def qap_optimize(
     Exhaustive (exact) up to EXACT_PERM_MAX; annealed and flagged beyond.
     """
     n = interactions.shape[0]
-    sign = 1.0 if maximize else -1.0
     if n <= EXACT_PERM_MAX:
-        best_val = -np.inf
-        best_perm = None
-        for chunk in iter_permutation_chunks(n):
-            vals = sign * _qap_values_bulk(interactions, chunk)
-            i = int(np.argmax(vals))
-            if vals[i] > best_val:
-                best_val = float(vals[i])
-                best_perm = chunk[i].copy()
-        return SearchResult(sign * best_val, True, best_perm)
-    budget = budget or SearchBudget()
-    best_val = -np.inf
-    best_perm = None
-    for r in range(budget.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(r,)))
-        perm = rng.permutation(n)
-        energy = sign * qap_value(interactions, perm)
-        scale = max(abs(energy), 1e-6)
-        temp = budget.init_temp if budget.init_temp is not None else 0.25 * scale
-        local_best_val, local_best = energy, perm.copy()
-        for _ in range(budget.steps):
-            u, v = rng.choice(n, size=2, replace=False)
-            delta, new = _qap_swap_delta(interactions, perm, None, u, v)
-            delta *= sign
-            if delta >= 0 or rng.random() < math.exp(delta / max(temp, 1e-12)):
-                perm = new
-                energy += delta
-                if energy > local_best_val:
-                    local_best_val, local_best = energy, perm.copy()
-            temp *= budget.cooling
-        if local_best_val > best_val:
-            best_val, best_perm = local_best_val, local_best
-    return SearchResult(sign * best_val, False, best_perm)
+        sign = 1.0 if maximize else -1.0
+        best, perm = argmax_chunks(
+            chunked(itertools.permutations(range(n))),
+            lambda perms: sign * pair_reduce(interactions, perms),
+        )
+        return SearchResult(sign * best, True, perm)
+    perm, value = anneal_permutation(
+        n, lambda p: qap_value(interactions, p), budget or SearchBudget(), minimize=not maximize
+    )
+    return SearchResult(value, False, perm)
 
 
 def anneal_permutation(

@@ -1,0 +1,236 @@
+"""The shared search loops: chunked enumeration, flip search, annealing.
+
+The rectangle search is checked against the exact enumeration tiers where
+both run.  The pinned values at the end fix seeded outputs of the heuristic
+tiers bit for bit, so that a change to a search loop that moves them shows.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from stepkernels import (
+    DecorationSpace,
+    Quotient,
+    StepKernel,
+    TestFamily,
+    cut_dist_f,
+    cut_dist_lp,
+    cut_dist_search,
+    delta_cut,
+    dsquare_quotient,
+    dsquare_quotient_search,
+    lp_distance_batch,
+)
+from stepkernels.search import (
+    FLIP_STEPS,
+    SearchBudget,
+    argmax_chunks,
+    chunked,
+    flip_search,
+    pair_reduce,
+    qap_optimize,
+    qap_value,
+    rectangle_search,
+)
+
+
+def random_prob_kernel(rng, space, parts):
+    e = rng.random((parts, parts, space.size)) + 0.05
+    e /= e.sum(axis=2, keepdims=True)
+    return StepKernel(space, np.full(parts, 1.0 / parts), e)
+
+
+def random_quotient(rng, space, k):
+    a = rng.random(k) + 0.1
+    a /= a.sum()
+    b = rng.random((k, k, space.size)) + 0.05
+    b /= b.sum(axis=2, keepdims=True)
+    return Quotient(space, a, b)
+
+
+def block_masses(k: StepKernel) -> np.ndarray:
+    lam = k.part_sizes
+    return k.entries * np.outer(lam, lam)[:, :, None]
+
+
+def rectangle_mass(blocks, s, t):
+    return np.einsum("p,pqm,q->m", s.astype(float), blocks, t.astype(float))
+
+
+class TestEnumeration:
+    def test_chunked_blocks(self):
+        blocks = list(chunked(itertools.permutations(range(4)), 7))
+        assert [b.shape for b in blocks] == [(7, 4)] * 3 + [(3, 4)]
+        assert all(b.dtype == np.intp for b in blocks)
+        assert np.concatenate(blocks).tolist() == [list(p) for p in itertools.permutations(range(4))]
+        assert list(chunked([], 5)) == []
+
+    def test_pair_reduce_matches_qap_value(self):
+        rng = np.random.default_rng(0)
+        t = rng.random((5, 5, 5, 5))
+        perms = np.array(list(itertools.permutations(range(5))), dtype=np.intp)
+        sums = pair_reduce(t, perms)
+        assert sums == pytest.approx([qap_value(t, p) for p in perms], abs=1e-12)
+        maxima = pair_reduce(t, perms[:10], np.maximum)
+        for p, got in zip(perms[:10], maxima):
+            assert got == max(t[a, b, p[a], p[b]] for a in range(5) for b in range(5))
+
+    def test_argmax_chunks_first_row_wins(self):
+        rows = [(0,), (3,), (1,), (3,), (2,)]
+        best, row = argmax_chunks(chunked(rows, 2), lambda c: c[:, 0].astype(float))
+        assert best == 3.0 and row.tolist() == [3]
+        assert argmax_chunks(iter(()), lambda c: c) == (-np.inf, None)
+
+    def test_exhaustive_qap_matches_brute_force(self):
+        rng = np.random.default_rng(1)
+        t = rng.normal(size=(5, 5, 5, 5))
+        values = {p: qap_value(t, np.array(p)) for p in itertools.permutations(range(5))}
+        for maximize, pick in ((True, max), (False, min)):
+            res = qap_optimize(t, maximize=maximize)
+            assert res.exact
+            assert res.value == pytest.approx(pick(values.values()), abs=1e-12)
+            assert qap_value(t, res.certificate) == pytest.approx(res.value, abs=1e-12)
+
+
+class TestFlipSearch:
+    def test_linear_objective_reaches_optimum(self):
+        c = np.array([0.5, -1.0, 2.0, -0.25, 1.0])
+
+        def scan(x):
+            value = float(c[x].sum())
+            return value, value + np.where(x, -c, c)
+
+        value, x = flip_search(scan, c.size, SearchBudget(restarts=3, seed=2), key=0)
+        assert value == pytest.approx(3.5)
+        assert x.tolist() == (c > 0).tolist()
+
+    def test_step_cap_evaluates_the_final_vector(self):
+        # every flip improves, so the cap stops the walk after FLIP_STEPS flips
+        length = FLIP_STEPS + 36
+        c = np.arange(1, length + 1) * -1e-3
+        calls = []
+
+        def scan(x):
+            calls.append(int(x.sum()))
+            value = 1.0 + float(c[x].sum())
+            return value, value + np.where(x, -c, c)
+
+        value, x = flip_search(scan, length, SearchBudget(restarts=1), key=0)
+        assert len(calls) == FLIP_STEPS + 1
+        assert int(x.sum()) == length - FLIP_STEPS
+        assert value == pytest.approx(1.0 + float(c[x].sum()))
+
+    def test_no_positive_value_gives_no_certificate(self):
+        def scan(x):
+            return -1.0, np.full(x.size, -2.0)
+
+        assert flip_search(scan, 4, SearchBudget(restarts=2), key=0) == (0.0, None)
+
+    @pytest.mark.parametrize("parts", [3, 4, 5])
+    @pytest.mark.parametrize("metric", ["lp", "f"])
+    def test_rectangle_search_within_exact_kernels(self, parts, metric):
+        rng = np.random.default_rng(100 + parts)
+        z = DecorationSpace.discrete(range(3)) if parts == 4 else DecorationSpace.two_point()
+        fam = TestFamily.default(z)
+        u, w = random_prob_kernel(rng, z, parts), random_prob_kernel(rng, z, parts)
+        if metric == "lp":
+            def objective(mus, nus):
+                return lp_distance_batch(z, np.clip(mus, 0.0, None), np.clip(nus, 0.0, None))
+            exact = cut_dist_lp(u, w)
+        else:
+            def objective(mus, nus):
+                return np.abs((mus - nus) @ fam.values.T) @ fam.scale_weights()
+            exact = cut_dist_f(u, w, fam)
+        bu, bw = block_masses(u), block_masses(w)
+        whole = float(objective(bu.sum(axis=(0, 1))[None], bw.sum(axis=(0, 1))[None])[0])
+        value, (s, t) = rectangle_search(bu, bw, objective, SearchBudget(restarts=4, seed=3), key=11)
+        assert whole - 1e-12 <= value <= exact + 1e-12
+        replay = objective(rectangle_mass(bu, s, t)[None], rectangle_mass(bw, s, t)[None])[0]
+        assert replay == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_rectangle_search_within_exact_quotients(self, k):
+        rng = np.random.default_rng(200 + k)
+        z = DecorationSpace.two_point()
+        a, b = random_quotient(rng, z, k), random_quotient(rng, z, k)
+        sa, sb = a.scaled(), b.scaled()
+
+        def objective(mus, nus):
+            return lp_distance_batch(z, mus, nus)
+
+        alpha_term = float(np.abs(a.alpha - b.alpha).sum())
+        whole = float(objective(sa.sum(axis=(0, 1))[None], sb.sum(axis=(0, 1))[None])[0])
+        value, (s, t) = rectangle_search(sa, sb, objective, SearchBudget(restarts=4, seed=4), key=41)
+        assert whole - 1e-12 <= value
+        assert alpha_term + value <= dsquare_quotient(a, b) + 1e-12
+        replay = objective(rectangle_mass(sa, s, t)[None], rectangle_mass(sb, s, t)[None])[0]
+        assert replay == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+
+class TestAnnealing:
+    def test_qap_annealing_reports_value_at_certificate(self):
+        rng = np.random.default_rng(409)
+        t = rng.random((9, 9, 9, 9))
+        for maximize in (True, False):
+            res = qap_optimize(t, SearchBudget(restarts=2, steps=400, seed=9), maximize=maximize)
+            assert not res.exact
+            assert res.value == qap_value(t, res.certificate)
+
+
+class TestPinnedOutputs:
+    """Fixed-seed outputs of the heuristic tiers, pinned to their exact bits."""
+
+    Z = DecorationSpace.two_point()
+
+    @pytest.mark.parametrize("seed, lp, lp_perm, f, f_perm", [
+        (0, 0.057618539149128456, [4, 8, 7, 0, 1, 2, 5, 3, 6],
+         0.043213904361846314, [4, 8, 7, 0, 1, 2, 5, 3, 6]),
+        (1, 0.08579238263728106, [4, 8, 5, 3, 0, 7, 2, 6, 1],
+         0.0643442869779608, [4, 1, 5, 3, 0, 7, 2, 6, 8]),
+    ])
+    def test_annealed_delta_cut_9_cells(self, seed, lp, lp_perm, f, f_perm):
+        rng = np.random.default_rng(60 + seed)
+        u, w = random_prob_kernel(rng, self.Z, 9), random_prob_kernel(rng, self.Z, 9)
+        budget = SearchBudget(restarts=2, steps=2, seed=seed)
+        res = delta_cut(u, w, metric="lp", budget=budget)
+        assert (res.value, res.permutation.tolist(), res.exact) == (lp, lp_perm, False)
+        res = delta_cut(u, w, metric="f", fam=TestFamily.default(self.Z), budget=budget)
+        assert (res.value, res.permutation.tolist(), res.exact) == (f, f_perm, False)
+
+    @pytest.mark.parametrize("seed, lp, f, s, t", [
+        (0, 0.05524996623815359, 0.04143747467861522, "10111110101110", "01111110111110"),
+        (1, 0.05615579468793877, 0.042116846015954175, "10101110110100", "10001111111111"),
+        (2, 0.06130619020435274, 0.04597964265326458, "01111111010111", "10101011101011"),
+    ])
+    def test_cut_dist_search_14_parts(self, seed, lp, f, s, t):
+        rng = np.random.default_rng(200 + seed)
+        u, w = random_prob_kernel(rng, self.Z, 14), random_prob_kernel(rng, self.Z, 14)
+        budget = SearchBudget(restarts=3, seed=seed)
+        want = [[c == "1" for c in s], [c == "1" for c in t]]
+        res = cut_dist_search(u, w, metric="lp", budget=budget)
+        assert res.to_jsonable() == {"value": lp, "exact": False, "certificate": want}
+        res = cut_dist_search(u, w, metric="f", fam=TestFamily.default(self.Z), budget=budget)
+        assert res.to_jsonable() == {"value": f, "exact": False, "certificate": want}
+
+    @pytest.mark.parametrize("seed, value", [
+        (0, 1.088545995641383),
+        (1, 1.2136161983924412),
+        (2, 0.7788921094876102),
+    ])
+    def test_dsquare_quotient_search_13_cells(self, seed, value):
+        rng = np.random.default_rng(300 + seed)
+        a, b = random_quotient(rng, self.Z, 13), random_quotient(rng, self.Z, 13)
+        res = dsquare_quotient_search(a, b, SearchBudget(restarts=3, seed=seed))
+        assert (res.value, res.exact) == (value, False)
+
+    @pytest.mark.parametrize("n, perm", [
+        (9, [7, 4, 5, 8, 1, 2, 6, 0, 3]),
+        (10, [9, 3, 6, 4, 2, 1, 7, 8, 5, 0]),
+    ])
+    def test_annealed_qap_certificate(self, n, perm):
+        rng = np.random.default_rng(400 + n)
+        t = rng.random((n, n, n, n))
+        res = qap_optimize(t, SearchBudget(restarts=2, steps=400, seed=n))
+        assert res.certificate.tolist() == perm
