@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "ABS_TOL",
+    "LP_CHUNK",
     "LP_EXACT_MAX_POINTS",
     "DecorationSpace",
     "SignedMeasure",
@@ -32,11 +33,16 @@ __all__ = [
     "lp_distance_batch",
     "lp_feasible",
     "lp_distance_estimate",
+    "lp_chunk_rows",
 ]
 
 ABS_TOL = 1e-12
 # 2**m subsets are enumerated when computing the Levy-Prokhorov distance.
 LP_EXACT_MAX_POINTS = 20
+# Subset masses (2**m per row) per bulk lp_distance_batch call, so that its
+# (2**m, B) work arrays stay in cache; 2**14 ran faster than 2**16 and 2**18
+# for every chunked caller.
+LP_CHUNK = 1 << 14
 
 
 class SpaceMismatchError(ValueError):
@@ -375,6 +381,15 @@ def lp_distance_batch(space: DecorationSpace, mus: np.ndarray, nus: np.ndarray) 
         candidate = np.where(required <= t_next, np.maximum(required, t), np.inf)
         best = np.minimum(best, candidate)
     return best
+
+
+def lp_chunk_rows(m: int) -> int:
+    """Rows (measure pairs) per bulk ``lp_distance_batch`` call on an m-point space.
+
+    Never fewer than 2: a one-row call takes another BLAS path (a
+    matrix-vector product), whose rounding can differ from a batched call.
+    """
+    return max(2, LP_CHUNK >> m)
 
 
 def lp_feasible(mu: SignedMeasure, nu: SignedMeasure, eps: float) -> bool:

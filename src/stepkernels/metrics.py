@@ -25,7 +25,7 @@ from .kernels import (
     relabel,
     uniform_refine,
 )
-from .measures import TestFamily, _subset_masks, lp_distance_batch
+from .measures import TestFamily, _subset_masks, lp_chunk_rows, lp_distance_batch
 from .search import (
     EXACT_PERM_MAX,
     SearchBudget,
@@ -195,7 +195,7 @@ def cut_dist_lp(u: StepKernel, w: StepKernel) -> float:
     agg_w = _subset_aggregates(_weighted_entries(w), masks)
     flat_u = np.clip(agg_u.reshape(-1, m), 0.0, None)
     flat_w = np.clip(agg_w.reshape(-1, m), 0.0, None)
-    batch = max(1, (1 << 18) >> m)
+    batch = lp_chunk_rows(m)
     best = 0.0
     for start in range(0, flat_u.shape[0], batch):
         d = lp_distance_batch(
@@ -345,15 +345,6 @@ class _DFSBudget(Exception):
     pass
 
 
-def _labeled_value(u, w_relabeled, metric, fam, budget):
-    if u.n_parts <= CUT_ENUM_MAX_PARTS:
-        if metric == "lp":
-            return cut_dist_lp(u, w_relabeled), True
-        return cut_dist_f(u, w_relabeled, fam), True
-    res = cut_dist_search(u, w_relabeled, metric, fam, budget)
-    return res.value, res.exact
-
-
 def delta_cut(
     u: StepKernel,
     w: StepKernel,
@@ -388,16 +379,15 @@ def delta_cut(
 
     if ur.is_constant() or wr.is_constant():
         # relabeling a constant kernel changes nothing
-        value, exact = _labeled_value(ur, wr, metric, fam, budget)
-        return DeltaResult(value, exact, np.arange(n, dtype=np.intp), n)
+        res = cut_dist_search(ur, wr, metric, fam, budget)
+        return DeltaResult(res.value, res.exact, np.arange(n, dtype=np.intp), n)
 
     if n <= EXACT_PERM_MAX:
         value, perm = _delta_exhaustive(ur, wr, metric, fam)
         return DeltaResult(value, True, perm, n)
 
     def energy(p: np.ndarray) -> float:
-        val, _ = _labeled_value(ur, relabel(wr, p), metric, fam, budget)
-        return val
+        return cut_dist_search(ur, relabel(wr, p), metric, fam, budget).value
 
     perm, value = anneal_permutation(n, energy, budget, minimize=True)
     return DeltaResult(value, False, perm, n)
@@ -452,7 +442,7 @@ def _delta_exhaustive(u, w, metric, fam):
     powers = (1 << np.arange(n)).astype(np.intp)
     masks_int = masks.astype(np.intp)
 
-    def full_value(perm, cap=np.inf):
+    def full_value(perm):
         smap = masks_int @ powers[perm]
         if metric == "f":
             vals = np.abs(fu - fw[smap][:, smap]) @ scale
@@ -460,14 +450,12 @@ def _delta_exhaustive(u, w, metric, fam):
         pw = clip_w[smap][:, smap].reshape(-1, m)
         flat_u = clip_u.reshape(-1, m)
         value = 0.0
-        batch = max(1, (1 << 18) >> m)
+        batch = lp_chunk_rows(m)
         for start in range(0, flat_u.shape[0], batch):
             d = lp_distance_batch(
                 u.space, flat_u[start : start + batch], pw[start : start + batch]
             )
             value = max(value, float(d.max(initial=0.0)))
-            if value >= cap:
-                break
         return value
 
     best_perm = perms[0].copy()

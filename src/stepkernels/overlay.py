@@ -46,6 +46,10 @@ __all__ = [
 
 GRID_ORACLE_CAP = 1_000_000
 MARGIN_TOL = 1e-9
+# Gradient gap below which the closed-form two-column vertex defers to HiGHS,
+# whose optimality tolerance is 1e-7: a gap this small may have more than one
+# optimal vertex, and HiGHS decides which.
+VERTEX_GAP_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,8 +224,40 @@ def _overlay_graph_grid(kernel, graph, alpha, n) -> OverlayResult:
     return OverlayResult(best, True, OverlapMatrix(rho))
 
 
+def _two_column_vertex(gradient: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """The maximizing vertex of a two-column transportation polytope, or None.
+
+    With two columns the problem is a fractional knapsack: rows fill column 0
+    in decreasing order of gradient[:, 0] - gradient[:, 1] until it holds
+    cols[0].  None when that order is tied, within ``VERTEX_GAP_TOL``, across
+    the split, so that the optimal vertex may not be unique.
+    """
+    gain = gradient[:, 0] - gradient[:, 1]
+    order = np.argsort(-gain, kind="stable")
+    size = rows[order]
+    first = np.clip(cols[0] - (np.cumsum(size) - size), 0.0, size)
+    # the running sum's rounding must not leave a sliver in the wrong column
+    first[first <= ABS_TOL] = 0.0
+    np.copyto(first, size, where=(first > 0) & (size - first <= ABS_TOL))
+    # sorted positions 0..used-1 put mass in column 0, free..end in column 1
+    used = int(np.count_nonzero(first))
+    free = used - 1 if used and first[used - 1] < size[used - 1] else used
+    g = gain[order]
+    tol = VERTEX_GAP_TOL * max(1.0, float(np.abs(g).max()))
+    if any(0 < i < g.size and g[i - 1] - g[i] <= tol for i in {free, used}):
+        return None
+    vertex = np.empty_like(gradient)
+    vertex[order, 0] = first
+    vertex[order, 1] = size - first
+    return vertex
+
+
 def _transport_lp(gradient: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Maximize <gradient, v> over the transportation polytope."""
+    if cols.size == 2:
+        vertex = _two_column_vertex(gradient, rows, cols)
+        if vertex is not None:
+            return vertex
     p, k = gradient.shape
     a_eq = []
     b_eq = []

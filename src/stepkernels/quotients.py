@@ -15,12 +15,19 @@ from typing import Optional
 import numpy as np
 
 from .kernels import StepKernel, uniform_refine
-from .measures import DecorationSpace, SignedMeasure, _subset_masks, lp_distance_batch
+from .measures import (
+    DecorationSpace,
+    SignedMeasure,
+    _subset_masks,
+    lp_chunk_rows,
+    lp_distance_batch,
+)
 from .overlay import OverlapMatrix
 from .search import SearchBudget, SearchResult, chunked, rectangle_search
 
 __all__ = [
     "DSQUARE_ENUM_MAX",
+    "HAUSDORFF_MEMORY_BUDGET",
     "Quotient",
     "QuotientCloud",
     "quotient",
@@ -33,6 +40,9 @@ __all__ = [
 ]
 
 DSQUARE_ENUM_MAX = 12
+# Bytes the (members, 4**k, m) subset aggregates of a dsquare Hausdorff
+# comparison may take.
+HAUSDORFF_MEMORY_BUDGET = 1 << 30
 DEGENERATE_TOL = 1e-12
 DEDUP_DECIMALS = 9
 
@@ -170,14 +180,14 @@ def dsquare_quotient_search(a: Quotient, b: Quotient, budget=None) -> SearchResu
     _check_comparable(a, b)
     if a.k <= DSQUARE_ENUM_MAX:
         return SearchResult(dsquare_quotient(a, b), True, None)
-    value, _ = rectangle_search(
+    value, cert = rectangle_search(
         _require_nonneg_scaled(a, "first quotient"),
         _require_nonneg_scaled(b, "second quotient"),
         lambda mus, nus: lp_distance_batch(a.space, mus, nus),
         budget or SearchBudget(),
         key=41,
     )
-    return SearchResult(float(np.abs(a.alpha - b.alpha).sum()) + value, False, None)
+    return SearchResult(float(np.abs(a.alpha - b.alpha).sum()) + value, False, cert)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,49 +352,49 @@ def _stratified_counts(n: int, k: int, total: int, rng) -> list[np.ndarray]:
     return counts[:total]
 
 
-def _pairwise_d1(a_members, b_members, space) -> np.ndarray:
-    na, nb = len(a_members), len(b_members)
-    k = a_members[0].k
-    m = space.size
-    sa = np.stack([q.scaled() for q in a_members])
-    sb = np.stack([q.scaled() for q in b_members])
+def _pairwise_lp(rows_a, rows_b, space, reduce) -> np.ndarray:
+    """(na, nb) matrix of ``reduce`` over the r Levy-Prokhorov distances
+    between rows_a[i] and rows_b[j], both (n, r, m) and nonnegative.
+
+    Member pairs are gathered in chunks of whole pairs, one
+    ``lp_distance_batch`` call per chunk of about ``lp_chunk_rows(m)`` rows.
+    """
+    na, r, m = rows_a.shape
+    nb = rows_b.shape[0]
+    per_call = max(1, lp_chunk_rows(m) // r)
+    out = np.empty(na * nb)
+    for start in range(0, na * nb, per_call):
+        pairs = np.arange(start, min(start + per_call, na * nb))
+        d = lp_distance_batch(
+            space, rows_a[pairs // nb].reshape(-1, m), rows_b[pairs % nb].reshape(-1, m)
+        )
+        out[start : start + pairs.size] = reduce(d.reshape(pairs.size, r), axis=1)
+    return out.reshape(na, nb)
+
+
+def _alpha_gaps(a_members, b_members) -> np.ndarray:
     aa = np.stack([q.alpha for q in a_members])
     ab = np.stack([q.alpha for q in b_members])
-    alpha_term = np.abs(aa[:, None, :] - ab[None, :, :]).sum(axis=2)
-    mu = np.broadcast_to(sa[:, None], (na, nb, k, k, m)).reshape(-1, m)
-    nu = np.broadcast_to(sb[None, :], (na, nb, k, k, m)).reshape(-1, m)
-    out = np.empty(mu.shape[0])
-    batch = max(1, (1 << 18) >> m)
-    for start in range(0, mu.shape[0], batch):
-        out[start : start + batch] = lp_distance_batch(
-            space,
-            np.clip(mu[start : start + batch], 0, None),
-            np.clip(nu[start : start + batch], 0, None),
-        )
-    return alpha_term + out.reshape(na, nb, k * k).sum(axis=2)
+    return np.abs(aa[:, None, :] - ab[None, :, :]).sum(axis=2)
+
+
+def _pairwise_d1(a_members, b_members, space) -> np.ndarray:
+    k, m = a_members[0].k, space.size
+    sa = np.stack([np.clip(q.scaled(), 0, None).reshape(k * k, m) for q in a_members])
+    sb = np.stack([np.clip(q.scaled(), 0, None).reshape(k * k, m) for q in b_members])
+    return _alpha_gaps(a_members, b_members) + _pairwise_lp(sa, sb, space, np.sum)
 
 
 def _pairwise_dsquare(a_members, b_members, space) -> np.ndarray:
-    na, nb = len(a_members), len(b_members)
-    k = a_members[0].k
-    m = space.size
+    k, m = a_members[0].k, space.size
     masks = _subset_masks(k).astype(float)
-    sa = np.stack([np.clip(q.scaled(), 0, None) for q in a_members])
-    sb = np.stack([np.clip(q.scaled(), 0, None) for q in b_members])
-    agg_a = np.einsum("si,aijm,tj->astm", masks, sa, masks, optimize=True)
-    agg_b = np.einsum("si,bijm,tj->bstm", masks, sb, masks, optimize=True)
-    aa = np.stack([q.alpha for q in a_members])
-    ab = np.stack([q.alpha for q in b_members])
-    alpha_term = np.abs(aa[:, None, :] - ab[None, :, :]).sum(axis=2)
-    n_pairs = agg_a.shape[1] * agg_a.shape[2]
-    out = np.empty((na, nb))
-    for i in range(na):
-        mu = np.clip(agg_a[i].reshape(-1, m), 0, None)
-        for j in range(nb):
-            nu = np.clip(agg_b[j].reshape(-1, m), 0, None)
-            d = lp_distance_batch(space, mu, nu)
-            out[i, j] = d.max(initial=0.0)
-    return alpha_term + out
+    aggs = []
+    for members in (a_members, b_members):
+        s = np.stack([np.clip(q.scaled(), 0, None) for q in members])
+        agg = np.einsum("si,aijm,tj->astm", masks, s, masks, optimize=True)
+        agg = agg.reshape(len(members), -1, m)
+        aggs.append(np.clip(agg, 0, None, out=agg))
+    return _alpha_gaps(a_members, b_members) + _pairwise_lp(*aggs, space, np.max)
 
 
 def hausdorff(a: QuotientCloud, b: QuotientCloud, metric: str = "dsquare") -> float:
@@ -399,6 +409,13 @@ def hausdorff(a: QuotientCloud, b: QuotientCloud, metric: str = "dsquare") -> fl
     elif metric == "dsquare":
         if a.k > DSQUARE_ENUM_MAX:
             raise ValueError(f"dsquare enumeration capped at {DSQUARE_ENUM_MAX} cells")
+        size = (len(a) + len(b)) * 4**a.k * a.space.size * 8
+        if size > HAUSDORFF_MEMORY_BUDGET:
+            raise ValueError(
+                f"dsquare Hausdorff at k={a.k} needs {size / 2**30:.1f} GiB of subset "
+                f"aggregates, over the {HAUSDORFF_MEMORY_BUDGET / 2**30:.1f} GiB budget; "
+                "use fewer cells, smaller clouds, or metric='d1'"
+            )
         d = _pairwise_dsquare(a.quotients, b.quotients, a.space)
     else:
         raise ValueError(f"unknown quotient metric {metric!r}")

@@ -16,7 +16,9 @@ from stepkernels import (
     DecorationSpace,
     SignedMeasure,
     SpaceMismatchError,
+    StepKernel,
     TestFamily,
+    cut_dist_lp,
     dirac,
     f_norm,
     hahn_jordan,
@@ -27,6 +29,8 @@ from stepkernels import (
     lp_feasible,
     tv_distance,
 )
+from stepkernels import measures
+from stepkernels.measures import LP_EXACT_MAX_POINTS, lp_chunk_rows
 
 
 def random_metric_space(rng, m):
@@ -346,3 +350,26 @@ class TestFamilyNorm:
         z = DecorationSpace.two_point()
         with pytest.raises(ValueError, match="values in"):
             TestFamily(z, [[1.0, 1.0], [2.0, 0.0]])
+
+
+class TestLPChunk:
+    def test_chunk_rows_at_least_two(self):
+        # one-row calls take a matrix-vector BLAS path with other rounding
+        assert all(lp_chunk_rows(m) >= 2 for m in range(LP_EXACT_MAX_POINTS + 1))
+
+    # (parts, m, value), computed with 2**18 subset masses per call
+    @pytest.mark.parametrize("chunk", [None, 1 << 6])
+    @pytest.mark.parametrize("parts, m, value", [
+        (8, 2, 0.0777016213997524),
+        (5, 8, 0.062040461714276074),
+    ])
+    def test_cut_dist_lp_pinned(self, monkeypatch, chunk, parts, m, value):
+        if chunk is not None:
+            monkeypatch.setattr(measures, "LP_CHUNK", chunk)
+        rng = np.random.default_rng([parts, m])
+        z = random_metric_space(rng, m)
+        u, w = (
+            StepKernel(z, np.full(parts, 1.0 / parts), e / e.sum(axis=2, keepdims=True))
+            for e in (rng.random((parts, parts, m)) + 0.05 for _ in range(2))
+        )
+        assert cut_dist_lp(u, w) == value

@@ -147,6 +147,74 @@ class TestOverlayGraph:
         assert heur.value <= exact.value + 1e-9
 
 
+def highs_vertex(gradient, rows, cols, monkeypatch):
+    from stepkernels import overlay
+
+    with monkeypatch.context() as mp:
+        mp.setattr(overlay, "_two_column_vertex", lambda *args: None)
+        return overlay._transport_lp(gradient, rows, cols)
+
+
+class TestTransportVertex:
+    @pytest.mark.parametrize("equal_parts", [True, False])
+    def test_two_column_vertex_is_optimal(self, equal_parts, monkeypatch):
+        from stepkernels.overlay import _two_column_vertex
+
+        rng = np.random.default_rng(7)
+        solved = 0
+        for _ in range(200):
+            # equal parts on a dyadic grid, as in the empirical kernels of
+            # criterion 6; HiGHS rounds other partial masses its own way
+            p = 2 ** int(rng.integers(0, 6)) if equal_parts else int(rng.integers(1, 33))
+            rows = np.full(p, 1.0 / p) if equal_parts else rng.dirichlet(np.ones(p))
+            a = rng.integers(0, p + 1) / p if equal_parts else rng.random()
+            cols = np.array([a, 1.0 - a])
+            g = rng.normal(size=(p, 2))
+            v = _two_column_vertex(g, rows, cols)
+            if v is None:
+                continue
+            solved += 1
+            ref = highs_vertex(g, rows, cols, monkeypatch)
+            assert v.min() >= 0.0
+            np.testing.assert_allclose(v.sum(axis=1), rows, atol=1e-12)
+            np.testing.assert_allclose(v.sum(axis=0), cols, atol=1e-12)
+            np.testing.assert_allclose(v, ref, atol=1e-12)
+            if equal_parts:
+                assert np.array_equal(v, ref)
+        assert solved > 150
+
+    def test_tie_at_the_split_defers_to_highs(self):
+        from stepkernels.overlay import _two_column_vertex
+
+        rows = np.full(4, 0.25)
+        cols = np.array([0.5, 0.5])
+        # rows 1 and 2 tie across the split: two optimal vertices
+        g = np.array([[3.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        assert _two_column_vertex(g, rows, cols) is None
+        # a partial row tied with a full one
+        cols = np.array([0.375, 0.625])
+        g = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
+        assert _two_column_vertex(g, rows, cols) is None
+        g[0, 0] = 2.0
+        v = _two_column_vertex(g, rows, cols)
+        assert np.array_equal(v[:, 0], [0.25, 0.125, 0.0, 0.0])
+
+    def test_ascent_matches_highs_on_a_sampled_graph(self, monkeypatch):
+        from stepkernels import empirical_kernel, overlay, sample_graph
+
+        model = from_real_graphon(RealStepKernel([1.0], [[0.5]]))
+        g = edge_graph(model.space)
+        budget = SearchBudget(restarts=2)
+        for seed in (3, 11):
+            emp = empirical_kernel(sample_graph(model, 32, seed))
+            fast = overlay._overlay_graph_ascent(emp, g, g.alpha, budget)
+            with monkeypatch.context() as mp:
+                mp.setattr(overlay, "_two_column_vertex", lambda *args: None)
+                slow = overlay._overlay_graph_ascent(emp, g, g.alpha, budget)
+            assert fast.value == slow.value
+            assert np.array_equal(fast.certificate.rho, slow.certificate.rho)
+
+
 class TestOverlayKernel:
     def test_constant_function_kernel(self):
         from stepkernels import CbStepKernel

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from stepkernels import measures, quotients
 from stepkernels import (
     DecorationSpace,
     OverlapMatrix,
@@ -40,6 +41,39 @@ def random_quotient(rng, space, k):
     b = rng.random((k, k, space.size)) + 0.05
     b /= b.sum(axis=2, keepdims=True)
     return Quotient(space, a, b)
+
+
+def hausdorff_clouds(m, k, na, nb):
+    """Clouds of na and nb random k-cell quotients on an m-point line metric."""
+    rng = np.random.default_rng([m, k, na, nb])
+    x = np.cumsum(rng.random(m) + 0.1)
+    z = DecorationSpace(tuple(range(m)), np.abs(x[:, None] - x[None, :]))
+    a = QuotientCloud(z, k, tuple(random_quotient(rng, z, k) for _ in range(na)), {})
+    b = QuotientCloud(z, k, tuple(random_quotient(rng, z, k) for _ in range(nb)), {})
+    return a, b
+
+
+# (m, k, na, nb, d1, dsquare), computed by the per-pair implementation
+HAUSDORFF_PINNED = [
+    (2, 2, 1, 1, 0.5524799028661096, 0.40762134040108716),
+    (2, 2, 7, 13, 1.0969761736600268, 0.7664477644671188),
+    (2, 2, 40, 3, 0.9986373883636454, 0.6444427409188571),
+    (2, 3, 1, 1, 1.575498113607214, 1.0818963829613768),
+    (2, 3, 7, 13, 1.0766107927906026, 0.7775370061533646),
+    (2, 3, 40, 3, 1.8787079576050423, 1.3230289566048314),
+    (3, 2, 1, 1, 0.42329139438736263, 0.28761375365220154),
+    (3, 2, 7, 13, 0.5255778826775872, 0.3635007000539375),
+    (3, 2, 40, 3, 2.0107082130269536, 1.4315840051426267),
+    (3, 3, 1, 1, 0.6454359988483407, 0.4090286813992041),
+    (3, 3, 7, 13, 0.9521804736998558, 0.6103859290957732),
+    (3, 3, 40, 3, 1.6322491421000753, 1.1315445748923136),
+    (5, 2, 1, 1, 1.2942229405462946, 0.8847498339798033),
+    (5, 2, 7, 13, 0.7290398314756633, 0.44893543374053335),
+    (5, 2, 40, 3, 1.3783212605168815, 0.9442816113095589),
+    (5, 3, 1, 1, 1.068252589404018, 0.6937372809325983),
+    (5, 3, 7, 13, 1.3944529541122277, 0.9052453980967184),
+    (5, 3, 40, 3, 1.7459563566124583, 1.2172852377181163),
+]
 
 
 def d1_oracle(a, b):
@@ -301,6 +335,38 @@ class TestHausdorff:
             assert h <= res.value + 1e-9
 
 
+class TestHausdorffChunks:
+    @pytest.mark.parametrize("chunk", [None, 1 << 6])
+    @pytest.mark.parametrize("m, k, na, nb, d1, dsquare", HAUSDORFF_PINNED)
+    def test_pinned_values(self, monkeypatch, chunk, m, k, na, nb, d1, dsquare):
+        # a small chunk budget forces many calls and a partial last chunk
+        if chunk is not None:
+            monkeypatch.setattr(measures, "LP_CHUNK", chunk)
+        a, b = hausdorff_clouds(m, k, na, nb)
+        assert (hausdorff(a, b, "d1"), hausdorff(a, b, "dsquare")) == (d1, dsquare)
+
+    @pytest.mark.parametrize("m, k, na, nb", [row[:4] for row in HAUSDORFF_PINNED])
+    def test_matches_per_pair_distances(self, m, k, na, nb):
+        a, b = hausdorff_clouds(m, k, na, nb)
+        for metric, dist in (("d1", d1_quotient), ("dsquare", dsquare_quotient)):
+            d = np.array([[dist(p, q) for q in b.quotients] for p in a.quotients])
+            want = max(d.min(axis=1).max(), d.min(axis=0).max())
+            assert hausdorff(a, b, metric) == pytest.approx(want, abs=1e-12)
+
+    def test_dsquare_memory_guard(self, monkeypatch):
+        # four 12-cell members a side need 8 * 4**12 * 2 * 8 bytes > 1 GiB
+        rng = np.random.default_rng(12)
+        z = DecorationSpace.two_point()
+        cloud = QuotientCloud(z, 12, tuple(random_quotient(rng, z, 12) for _ in range(4)), {})
+
+        def unreachable(*args):
+            raise AssertionError("aggregates allocated past the memory guard")
+
+        monkeypatch.setattr(quotients, "_pairwise_dsquare", unreachable)
+        with pytest.raises(ValueError, match="GiB"):
+            hausdorff(cloud, cloud, "dsquare")
+
+
 class TestRebalance:
     def test_noop(self):
         o = OverlapMatrix([[0.5, 0.0], [0.0, 0.5]])
@@ -365,3 +431,19 @@ class TestDsquareSearch:
         # any rectangle realizes a lower bound; d1 sandwich gives an upper cap
         assert res.value <= k * k * d1_quotient(a, b) + 1e-9
         assert res.value >= float(np.abs(a.alpha - b.alpha).sum())
+
+    def test_certificate_replays_at_13_cells(self):
+        rng = np.random.default_rng(32)
+        z = DecorationSpace.two_point()
+        a, b = random_quotient(rng, z, 13), random_quotient(rng, z, 13)
+        from stepkernels import dsquare_quotient_search
+        from stepkernels.search import SearchBudget
+
+        res = dsquare_quotient_search(a, b, SearchBudget(restarts=3, seed=1))
+        s, t = (x.astype(float) for x in res.certificate)
+        mu, nu = (
+            SignedMeasure(z, np.einsum("p,pqm,q->m", s, np.maximum(q.scaled(), 0.0), t))
+            for q in (a, b)
+        )
+        gap = float(np.abs(a.alpha - b.alpha).sum())
+        assert res.value == gap + lp_distance(mu, nu)
