@@ -178,7 +178,10 @@ def cloud_from_json(doc, registry=None, where: str = "cloud") -> QuotientCloud:
             members.append(Quotient(space, alpha, beta))
         except ValueError as exc:
             raise SchemaError(f"{where}.quotients[{idx}]: {exc}") from exc
-    return QuotientCloud(space, int(k), tuple(members), doc.get("provenance", {}))
+    try:
+        return QuotientCloud(space, int(k), tuple(members), doc.get("provenance", {}))
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def cloud_to_json(cloud: QuotientCloud) -> dict:

@@ -32,7 +32,7 @@ from .kernels import (
 )
 from .measures import ABS_TOL, TestFamily
 from .metrics import _f_interaction_tensor, f_inner
-from .search import SearchBudget, argmax_chunks, chunked, pair_reduce, qap_optimize
+from .search import SearchBudget, argmax_chunks, count_assignments, pair_reduce, qap_optimize
 
 __all__ = [
     "GRID_ORACLE_CAP",
@@ -122,10 +122,20 @@ def _interaction(kernel: StepKernel, graph: CbGraph) -> np.ndarray:
     return np.einsum("pqm,ijm->pqij", kernel.entries, graph.beta, optimize=True)
 
 
+def _planned_form(c: np.ndarray):
+    """(x, y) -> sum of x[p, i] y[q, j] c[p, q, i, j] for (p, k) overlaps.
+
+    The contraction order is the one ``optimize=True`` picks for these
+    shapes, planned once here instead of on every call.
+    """
+    probe = np.zeros(c.shape[1:3])
+    path = np.einsum_path("pi,qj,pqij->", probe, probe, c, optimize="greedy")[0]
+    return lambda x, y: float(np.einsum("pi,qj,pqij->", x, y, c, optimize=path))
+
+
 def overlay_objective(kernel: StepKernel, graph: CbGraph, overlap: OverlapMatrix) -> float:
     """Total decorated interaction realized by an overlap matrix."""
-    c = _interaction(kernel, graph)
-    return float(np.einsum("pi,qj,pqij->", overlap.rho, overlap.rho, c, optimize=True))
+    return _planned_form(_interaction(kernel, graph))(overlap.rho, overlap.rho)
 
 
 def _alpha_denominator(alpha, cap: int = 10_000) -> Optional[int]:
@@ -136,25 +146,6 @@ def _alpha_denominator(alpha, cap: int = 10_000) -> Optional[int]:
             return None
         d = d * frac.denominator // gcd(d, frac.denominator)
     return d
-
-
-def _iter_count_assignments(n: int, counts: np.ndarray):
-    """All length-n class sequences with the prescribed class counts."""
-    k = counts.size
-    seq = np.empty(n, dtype=np.intp)
-
-    def rec(pos: int, remaining: np.ndarray):
-        if pos == n:
-            yield seq.copy()
-            return
-        for c in range(k):
-            if remaining[c] > 0:
-                remaining[c] -= 1
-                seq[pos] = c
-                yield from rec(pos + 1, remaining)
-                remaining[c] += 1
-
-    yield from rec(0, counts.copy())
 
 
 def overlay_graph(
@@ -175,6 +166,8 @@ def overlay_graph(
     k = graph.n_vertices
     if alpha.shape != (k,):
         raise ValueError(f"alpha must have shape ({k},)")
+    if alpha.min() < 0 or abs(alpha.sum() - 1.0) > MARGIN_TOL:
+        raise ValueError("alpha must be a probability vector")
     budget = budget or SearchBudget()
 
     n = cells
@@ -211,7 +204,7 @@ def _overlay_graph_grid(kernel, graph, alpha, n) -> OverlayResult:
     counts = np.rint(alpha * n).astype(int)
     c_ref = _interaction(refined, graph) / float(n * n)
     best, best_assignment = argmax_chunks(
-        chunked(_iter_count_assignments(n, counts)), lambda z: pair_reduce(c_ref, z)
+        count_assignments(n, counts), lambda z: pair_reduce(c_ref, z)
     )
     rho_cells = OverlapMatrix.from_assignment(refined.part_sizes, best_assignment, graph.n_vertices)
     # fold cell-level overlaps back onto the original parts
@@ -314,14 +307,19 @@ def _random_interior(rows, cols, rng, iters: int = 200) -> np.ndarray:
 def _overlay_graph_ascent(kernel, graph, alpha, budget) -> OverlayResult:
     c = _interaction(kernel, graph)
     lam = kernel.part_sizes
+    form = _planned_form(c)
+    # the gradient's two halves, each with its contraction planned once
+    halves = [
+        (spec, np.einsum_path(spec, np.outer(lam, alpha), c, optimize="greedy")[0])
+        for spec in ("qj,pqij->pi", "qj,qpji->pi")
+    ]
 
     def value(rho):
-        return float(np.einsum("pi,qj,pqij->", rho, rho, c, optimize=True))
+        return form(rho, rho)
 
     def gradient(rho):
-        g = np.einsum("qj,pqij->pi", rho, c, optimize=True)
-        g += np.einsum("qj,qpji->pi", rho, c, optimize=True)
-        return g
+        g = [np.einsum(spec, rho, c, optimize=path) for spec, path in halves]
+        return g[0] + g[1]
 
     best_val, best_rho = -np.inf, None
     for r in range(budget.restarts):
@@ -338,7 +336,7 @@ def _overlay_graph_ascent(kernel, graph, alpha, budget) -> OverlayResult:
             vertex = _transport_lp(grad, lam, alpha)
             direction = vertex - rho
             lin = float((grad * direction).sum())
-            quad = float(np.einsum("pi,qj,pqij->", direction, direction, c, optimize=True))
+            quad = form(direction, direction)
             if lin <= 1e-13 and quad <= 0:
                 break
             if quad < 0:

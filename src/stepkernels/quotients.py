@@ -23,7 +23,7 @@ from .measures import (
     lp_distance_batch,
 )
 from .overlay import OverlapMatrix
-from .search import SearchBudget, SearchResult, chunked, rectangle_search
+from .search import SearchBudget, SearchResult, chunked, count_assignments, rectangle_search
 
 __all__ = [
     "DSQUARE_ENUM_MAX",
@@ -84,15 +84,40 @@ class Quotient:
 
     def scaled(self) -> np.ndarray:
         """Mass-scaled decorations alpha_i alpha_j beta_ij (block integrals)."""
-        return self.beta * np.multiply.outer(
-            np.outer(self.alpha, self.alpha), np.ones(self.space.size)
-        )
+        return _scaled(self.alpha[None], self.beta[None])[0]
 
     def decoration(self, i: int, j: int) -> SignedMeasure:
         return SignedMeasure(self.space, self.beta[i, j])
 
     def to_jsonable(self) -> dict:
         return {"alpha": self.alpha.tolist(), "beta": self.beta.tolist()}
+
+
+def _scaled(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """alpha_i alpha_j beta_ij for stacks alpha (N, k) and beta (N, k, k, m)."""
+    return beta * (alpha[:, :, None] * alpha[:, None, :])[..., None]
+
+
+def _quotient_stack(kernel: StepKernel, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex weights (B, k) and decorations (B, k, k, m) of the quotients of
+    ``kernel`` by a stack of overlap matrices ``rho`` (B, p, k).
+
+    Each member's block integrals are two matrix products, over the row
+    parts and then over the column parts, so its value does not depend on
+    how many members share the stack.
+    """
+    count, p, k = rho.shape
+    m = kernel.space.size
+    col = rho.sum(axis=1)
+    rows = np.matmul(rho.transpose(0, 2, 1), kernel.entries.reshape(p, p * m))
+    rows = rows.reshape(count, k, p, m).transpose(0, 1, 3, 2).reshape(count, k * m, p)
+    scaled = np.matmul(rows, rho).reshape(count, k, m, k).transpose(0, 1, 3, 2)
+    mass = col[:, :, None] * col[:, None, :]
+    safe = np.where(mass > DEGENERATE_TOL, mass, 1.0)
+    beta = np.ascontiguousarray(scaled / safe[..., None])
+    beta[mass <= DEGENERATE_TOL] = 0.0
+    alpha = col / np.maximum(col.sum(axis=1, keepdims=True), 1e-300)
+    return np.maximum(alpha, 0.0), beta
 
 
 def quotient(kernel: StepKernel, partition) -> Quotient:
@@ -114,13 +139,8 @@ def quotient(kernel: StepKernel, partition) -> Quotient:
         raise ValueError("overlap rows do not match the kernel parts")
     if np.abs(overlap.row_sums - kernel.part_sizes).max() > 1e-9:
         raise ValueError("overlap row sums do not match the kernel part sizes")
-    alpha = overlap.col_sums
-    scaled = np.einsum("pi,pqm,qj->ijm", overlap.rho, kernel.entries, overlap.rho, optimize=True)
-    mass = np.outer(alpha, alpha)
-    safe = np.where(mass > DEGENERATE_TOL, mass, 1.0)
-    beta = scaled / safe[:, :, None]
-    beta[mass <= DEGENERATE_TOL] = 0.0
-    return Quotient(kernel.space, alpha / max(alpha.sum(), 1e-300), beta)
+    alpha, beta = _quotient_stack(kernel, overlap.rho[None])
+    return Quotient(kernel.space, alpha[0], beta[0])
 
 
 def _check_comparable(a: Quotient, b: Quotient) -> None:
@@ -162,14 +182,18 @@ def dsquare_quotient(a: Quotient, b: Quotient) -> float:
     sb = _require_nonneg_scaled(b, "second quotient")
     m = a.space.size
     masks = _subset_masks(k).astype(float)
-    agg_a = np.einsum("si,ijm,tj->stm", masks, sa, masks, optimize=True)
-    agg_b = np.einsum("si,ijm,tj->stm", masks, sb, masks, optimize=True)
-    d = lp_distance_batch(
-        a.space,
-        np.clip(agg_a.reshape(-1, m), 0.0, None),
-        np.clip(agg_b.reshape(-1, m), 0.0, None),
-    )
-    return float(np.abs(a.alpha - b.alpha).sum() + d.max(initial=0.0))
+    agg_a = np.einsum("si,ijm,tj->stm", masks, sa, masks, optimize=True).reshape(-1, m)
+    agg_b = np.einsum("si,ijm,tj->stm", masks, sb, masks, optimize=True).reshape(-1, m)
+    batch = lp_chunk_rows(m)
+    best = 0.0
+    for start in range(0, agg_a.shape[0], batch):
+        d = lp_distance_batch(
+            a.space,
+            np.clip(agg_a[start : start + batch], 0.0, None),
+            np.clip(agg_b[start : start + batch], 0.0, None),
+        )
+        best = max(best, float(d.max(initial=0.0)))
+    return float(np.abs(a.alpha - b.alpha).sum() + best)
 
 
 def dsquare_quotient_search(a: Quotient, b: Quotient, budget=None) -> SearchResult:
@@ -192,30 +216,95 @@ def dsquare_quotient_search(a: Quotient, b: Quotient, budget=None) -> SearchResu
 
 @dataclass(frozen=True, eq=False)
 class QuotientCloud:
-    """Finite skeleton of a quotient set, with generation provenance."""
+    """Finite skeleton of a quotient set, with generation provenance.
+
+    The members are stored stacked: ``alpha`` is (N, k) and ``beta`` is
+    (N, k, k, m).  ``quotients`` builds them as ``Quotient`` objects on every
+    read.
+    """
 
     space: DecorationSpace
     k: int
-    quotients: tuple
+    alpha: np.ndarray
+    beta: np.ndarray
     provenance: dict
 
+    def __init__(self, space, k, quotients, provenance):
+        quotients = tuple(quotients)
+        for q in quotients:
+            space.require_same(q.space)
+            if q.k != k:
+                raise ValueError(f"cloud member has {q.k} cells, not {k}")
+        alpha = np.array([q.alpha for q in quotients], dtype=float).reshape(-1, k)
+        beta = np.array([q.beta for q in quotients], dtype=float)
+        self._store(space, k, alpha, beta.reshape(-1, k, k, space.size), provenance)
+
+    @classmethod
+    def _stacked(cls, space, k, alpha, beta, provenance) -> "QuotientCloud":
+        cloud = cls.__new__(cls)
+        cloud._store(space, k, alpha, beta, provenance)
+        return cloud
+
+    def _store(self, space, k, alpha, beta, provenance) -> None:
+        alpha.setflags(write=False)
+        beta.setflags(write=False)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "k", int(k))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "provenance", provenance)
+
+    @property
+    def quotients(self) -> tuple:
+        return tuple(Quotient(self.space, a, b) for a, b in zip(self.alpha, self.beta))
+
     def __len__(self) -> int:
-        return len(self.quotients)
+        return len(self.alpha)
+
+    def scaled(self) -> np.ndarray:
+        """Mass-scaled decorations of every member, (N, k, k, m)."""
+        return _scaled(self.alpha, self.beta)
 
     def to_jsonable(self) -> dict:
         return {
             "k": self.k,
             "space": {"points": list(self.space.points), "dist": self.space.dist.tolist()},
-            "quotients": [q.to_jsonable() for q in self.quotients],
+            "quotients": [
+                {"alpha": a.tolist(), "beta": b.tolist()} for a, b in zip(self.alpha, self.beta)
+            ],
             "provenance": self.provenance,
         }
 
 
-def _dedup_key(alpha: np.ndarray, scaled: np.ndarray) -> bytes:
-    return (
-        np.round(alpha, DEDUP_DECIMALS).tobytes()
-        + np.round(scaled, DEDUP_DECIMALS).tobytes()
+def _distinct(space, k: int, batches, provenance: dict) -> QuotientCloud:
+    """The cloud of the first occurrence of each member of the (alpha, beta)
+    batches, members being equal when alpha and the scaled decorations agree
+    to DEDUP_DECIMALS places."""
+    seen: set[bytes] = set()
+    alphas, betas = [np.empty((0, k))], [np.empty((0, k, k, space.size))]
+    for alpha, beta in batches:
+        flat = np.concatenate([alpha, _scaled(alpha, beta).reshape(len(alpha), -1)], axis=1)
+        first = []
+        for i, key in enumerate(np.round(flat, DEDUP_DECIMALS)):
+            key = key.tobytes()
+            if key not in seen:
+                seen.add(key)
+                first.append(i)
+        alphas.append(alpha[first])
+        betas.append(beta[first])
+    return QuotientCloud._stacked(
+        space, k, np.concatenate(alphas), np.concatenate(betas), provenance
     )
+
+
+def _assigned(kernel: StepKernel, chunks, k: int):
+    """Quotient stacks of ``kernel`` by each chunk z of (B, p) assignments,
+    row b sending part p wholly to cell z[b, p]."""
+    p = kernel.n_parts
+    for z in chunks:
+        rho = np.zeros((len(z), p, k))
+        rho[np.arange(len(z))[:, None], np.arange(p), z] = kernel.part_sizes
+        yield _quotient_stack(kernel, rho)
 
 
 def quotient_cloud(
@@ -244,46 +333,37 @@ def quotient_cloud(
                 "use mode='sample'"
             )
         refined = uniform_refine(kernel, n)
-        target_counts = None
-        if alpha is not None:
+        provenance = {"mode": "enumerate", "cells": int(n), "k": int(k)}
+        if alpha is None:
+            chunks = chunked(itertools.product(range(k), repeat=n))
+        else:
             target = np.asarray(alpha, dtype=float) * n
             if np.abs(target - np.rint(target)).max() > 1e-9:
                 raise ValueError("alpha is not realizable on the requested grid")
-            target_counts = np.rint(target).astype(int)
-        members: dict[bytes, Quotient] = {}
-        for chunk in chunked(itertools.product(range(k), repeat=n)):
-            if target_counts is not None:
-                counts = (chunk[:, :, None] == np.arange(k)).sum(axis=1)
-                chunk = chunk[(counts == target_counts).all(axis=1)]
-            for z in chunk:
-                q = quotient(refined, (z, k))
-                members.setdefault(_dedup_key(q.alpha, q.scaled()), q)
-        provenance = {"mode": "enumerate", "cells": int(n), "k": int(k)}
-        if alpha is not None:
+            chunks = count_assignments(n, np.rint(target).astype(int))
             provenance["alpha"] = list(np.asarray(alpha, dtype=float))
-        return QuotientCloud(kernel.space, k, tuple(members.values()), provenance)
+        return _distinct(kernel.space, k, _assigned(refined, chunks, k), provenance)
 
     if mode == "sample":
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(31,)))
         n = cells if cells is not None else kernel.n_parts
         refined = uniform_refine(kernel, n)
-        members = {}
         p = kernel.n_parts
+        aligned = []
         if float(k) ** p <= 4096:
-            for z in itertools.product(range(k), repeat=p):
-                q = quotient(kernel, (np.array(z, dtype=np.intp), k))
-                members.setdefault(_dedup_key(q.alpha, q.scaled()), q)
+            aligned.append(np.array(list(itertools.product(range(k), repeat=p)), dtype=np.intp))
         # stratify over cell-mass vectors so coverage does not collapse onto
         # balanced partitions as n grows
+        draws = []
         for counts in _stratified_counts(n, k, count, rng):
             z = np.repeat(np.arange(k, dtype=np.intp), counts)
             rng.shuffle(z)
-            q = quotient(refined, (z, k))
-            members.setdefault(_dedup_key(q.alpha, q.scaled()), q)
-        for _ in range(count):
-            z = rng.integers(0, k, size=n)
-            q = quotient(refined, (z, k))
-            members.setdefault(_dedup_key(q.alpha, q.scaled()), q)
+            draws.append(z)
+        draws.extend(rng.integers(0, k, size=n) for _ in range(count))
+        batches = itertools.chain(
+            _assigned(kernel, aligned, k),
+            _assigned(refined, [np.array(draws, dtype=np.intp).reshape(-1, n)], k),
+        )
         provenance = {
             "mode": "sample",
             "cells": int(n),
@@ -291,7 +371,7 @@ def quotient_cloud(
             "seed": int(seed),
             "k": int(k),
         }
-        return QuotientCloud(kernel.space, k, tuple(members.values()), provenance)
+        return _distinct(kernel.space, k, batches, provenance)
 
     if mode == "alpha_grid":
         # fractional-overlap quotients on a mass grid: one product-coupling
@@ -314,15 +394,12 @@ def quotient_cloud(
             for _ in range(max(count - len(alphas), 0)):
                 c = rng.multinomial(r, rng.dirichlet(np.ones(k)))
                 alphas.append(c / r)
-        members = {}
+        overlaps = []
         per_alpha = max(1, count // max(len(alphas), 1))
         for a in alphas:
-            overlaps = [OverlapMatrix(np.outer(lam, a))]
+            overlaps.append(np.outer(lam, a))
             for _ in range(per_alpha - 1):
-                overlaps.append(OverlapMatrix(_random_transport_vertex(lam, a, rng)))
-            for ov in overlaps:
-                q = quotient(kernel, ov)
-                members.setdefault(_dedup_key(q.alpha, q.scaled()), q)
+                overlaps.append(_random_transport_vertex(lam, a, rng))
         provenance = {
             "mode": "alpha_grid",
             "cells": int(r),
@@ -330,7 +407,9 @@ def quotient_cloud(
             "seed": int(seed),
             "k": int(k),
         }
-        return QuotientCloud(kernel.space, k, tuple(members.values()), provenance)
+        return _distinct(
+            kernel.space, k, [_quotient_stack(kernel, np.array(overlaps))], provenance
+        )
 
     raise ValueError(f"unknown cloud mode {mode!r}")
 
@@ -372,29 +451,26 @@ def _pairwise_lp(rows_a, rows_b, space, reduce) -> np.ndarray:
     return out.reshape(na, nb)
 
 
-def _alpha_gaps(a_members, b_members) -> np.ndarray:
-    aa = np.stack([q.alpha for q in a_members])
-    ab = np.stack([q.alpha for q in b_members])
-    return np.abs(aa[:, None, :] - ab[None, :, :]).sum(axis=2)
+def _alpha_gaps(a: QuotientCloud, b: QuotientCloud) -> np.ndarray:
+    return np.abs(a.alpha[:, None, :] - b.alpha[None, :, :]).sum(axis=2)
 
 
-def _pairwise_d1(a_members, b_members, space) -> np.ndarray:
-    k, m = a_members[0].k, space.size
-    sa = np.stack([np.clip(q.scaled(), 0, None).reshape(k * k, m) for q in a_members])
-    sb = np.stack([np.clip(q.scaled(), 0, None).reshape(k * k, m) for q in b_members])
-    return _alpha_gaps(a_members, b_members) + _pairwise_lp(sa, sb, space, np.sum)
+def _pairwise_d1(a: QuotientCloud, b: QuotientCloud) -> np.ndarray:
+    k, m = a.k, a.space.size
+    sa, sb = (np.clip(c.scaled(), 0, None).reshape(len(c), k * k, m) for c in (a, b))
+    return _alpha_gaps(a, b) + _pairwise_lp(sa, sb, a.space, np.sum)
 
 
-def _pairwise_dsquare(a_members, b_members, space) -> np.ndarray:
-    k, m = a_members[0].k, space.size
-    masks = _subset_masks(k).astype(float)
+def _pairwise_dsquare(a: QuotientCloud, b: QuotientCloud) -> np.ndarray:
+    m = a.space.size
+    masks = _subset_masks(a.k).astype(float)
     aggs = []
-    for members in (a_members, b_members):
-        s = np.stack([np.clip(q.scaled(), 0, None) for q in members])
+    for cloud in (a, b):
+        s = np.clip(cloud.scaled(), 0, None)
         agg = np.einsum("si,aijm,tj->astm", masks, s, masks, optimize=True)
-        agg = agg.reshape(len(members), -1, m)
+        agg = agg.reshape(len(cloud), -1, m)
         aggs.append(np.clip(agg, 0, None, out=agg))
-    return _alpha_gaps(a_members, b_members) + _pairwise_lp(*aggs, space, np.max)
+    return _alpha_gaps(a, b) + _pairwise_lp(*aggs, a.space, np.max)
 
 
 def hausdorff(a: QuotientCloud, b: QuotientCloud, metric: str = "dsquare") -> float:
@@ -405,7 +481,7 @@ def hausdorff(a: QuotientCloud, b: QuotientCloud, metric: str = "dsquare") -> fl
     if a.k != b.k:
         raise ValueError(f"clouds have different cell counts: {a.k} vs {b.k}")
     if metric == "d1":
-        d = _pairwise_d1(a.quotients, b.quotients, a.space)
+        d = _pairwise_d1(a, b)
     elif metric == "dsquare":
         if a.k > DSQUARE_ENUM_MAX:
             raise ValueError(f"dsquare enumeration capped at {DSQUARE_ENUM_MAX} cells")
@@ -416,7 +492,7 @@ def hausdorff(a: QuotientCloud, b: QuotientCloud, metric: str = "dsquare") -> fl
                 f"aggregates, over the {HAUSDORFF_MEMORY_BUDGET / 2**30:.1f} GiB budget; "
                 "use fewer cells, smaller clouds, or metric='d1'"
             )
-        d = _pairwise_dsquare(a.quotients, b.quotients, a.space)
+        d = _pairwise_dsquare(a, b)
     else:
         raise ValueError(f"unknown quotient metric {metric!r}")
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))

@@ -1,10 +1,11 @@
 """The search loops behind every optimizer in the package.
 
 Callers supply only the objective.  Chunked enumeration (``chunked``,
-``pair_reduce``, ``argmax_chunks``) is exhaustive, hence exact, up to
-``EXACT_PERM_MAX`` parts and in the grid oracles.  ``flip_search`` climbs by
-single-coordinate flips of a boolean vector and gives a flagged lower bound;
-``rectangle_search`` runs it over the rows and columns of S x T.
+``count_assignments``, ``pair_reduce``, ``argmax_chunks``) is exhaustive,
+hence exact, up to ``EXACT_PERM_MAX`` parts and in the grid oracles.
+``flip_search`` climbs by single-coordinate flips of a boolean vector and
+gives a flagged lower bound; ``rectangle_search`` runs it over the rows and
+columns of S x T.
 ``anneal_permutation`` is simulated annealing over permutations (geometric
 cooling, random-transposition proposals, exponential acceptance).  All
 randomness is keyed by explicit seeds; restarts are independent and the
@@ -26,6 +27,7 @@ __all__ = [
     "SearchBudget",
     "SearchResult",
     "chunked",
+    "count_assignments",
     "pair_reduce",
     "argmax_chunks",
     "flip_search",
@@ -73,6 +75,47 @@ def chunked(rows: Iterable, size: int = 4096) -> Iterator[np.ndarray]:
         if not block:
             return
         yield np.array(block, dtype=np.intp)
+
+
+def count_assignments(n: int, counts) -> Iterator[np.ndarray]:
+    """Every length-n class sequence with the given class counts, as
+    (<= 4096, n) arrays in lexicographic order.
+
+    Each block of rows grows its prefix tree one position at a time: a
+    prefix's children take the classes it has left, in order, and each
+    child covers as many rows as the multinomial coefficient of its
+    remaining counts, so only the children whose rows overlap the block are
+    kept.  The rows are then read back from the leaves.  Counts not summing
+    to n give no rows.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.min(initial=0) < 0 or counts.sum() != n:
+        return
+    total = math.factorial(n)
+    for c in counts:
+        total //= math.factorial(int(c))
+    for start in range(0, total, 4096):
+        stop = min(start + 4096, total)
+        remaining, sizes, first = counts[None, :], np.array([total], dtype=np.int64), 0
+        levels = []
+        for pos in range(n):
+            parent, c = np.nonzero(remaining > 0)
+            sizes = sizes[parent] * remaining[parent, c] // (n - pos)
+            ends = first + np.cumsum(sizes)
+            lo = int(np.searchsorted(ends, start, side="right"))
+            hi = int(np.searchsorted(ends - sizes, stop))
+            first = int(ends[lo] - sizes[lo])
+            parent, c, sizes = parent[lo:hi], c[lo:hi], sizes[lo:hi]
+            levels.append((parent, c))
+            remaining = remaining[parent]
+            remaining[np.arange(parent.size), c] -= 1
+        rows = np.empty((stop - start, n), dtype=np.intp)
+        node = np.arange(stop - start)
+        for pos in range(n - 1, -1, -1):
+            parent, c = levels[pos]
+            rows[:, pos] = c[node]
+            node = parent[node]
+        yield rows
 
 
 def pair_reduce(table: np.ndarray, rows: np.ndarray, op=np.add) -> np.ndarray:

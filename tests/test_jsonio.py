@@ -1,12 +1,40 @@
 """JSON schema round-trips and diagnostics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from stepkernels import RealStepKernel, from_real_graphon, quotient_cloud
+from stepkernels import (
+    DecorationSpace,
+    RealStepKernel,
+    StepKernel,
+    from_real_graphon,
+    quotient_cloud,
+)
 from stepkernels import jsonio
 
 RUNNING = from_real_graphon(RealStepKernel([0.5, 0.5], [[0.2, 0.8], [0.8, 0.2]]))
+
+
+def three_part_kernel():
+    rng = np.random.default_rng(5)
+    e = rng.dirichlet(np.ones(3), size=(3, 3))
+    return StepKernel(DecorationSpace.discrete(range(3)), np.array([1, 2, 3]) / 6, e)
+
+
+# (cloud, members, sha256 of its canonical JSON), pinned from the
+# one-quotient-per-member implementation
+CLOUD_DOCS = [
+    (lambda: quotient_cloud(RUNNING, 2, mode="enumerate", cells=4), 6,
+     "9df6128c3631b35cb43bc6fe95ed2f2a2e8a1d22047addeb3a388f3e2f6b1c5d"),
+    (lambda: quotient_cloud(three_part_kernel(), 2, mode="sample", cells=6, count=8, seed=3),
+     20, "15dcffe73c3f2ae42444d5ddc4bf5bc6ec23f700e27bee3da413c2b0c519a837"),
+    (lambda: quotient_cloud(three_part_kernel(), 3, mode="alpha_grid", cells=6, count=9, seed=1),
+     8, "412fbee471bcb468feb2495b54cc185d20a23a266f781627c91fca535be7d7dc"),
+    (lambda: quotient_cloud(three_part_kernel(), 2, mode="enumerate", cells=6, alpha=[1 / 3, 2 / 3]),
+     5, "dea1d69a8380ba7c9de19653cc2eb0865ba34976637036ef09c0251ffc12c087"),
+]
 
 
 class TestRoundTrips:
@@ -48,6 +76,17 @@ class TestRoundTrips:
         assert len(back) == len(cloud)
         assert back.provenance == cloud.provenance
 
+    @pytest.mark.parametrize("build, members, digest", CLOUD_DOCS)
+    def test_cloud_documents_pinned(self, build, members, digest):
+        cloud = build()
+        doc = jsonio.cloud_to_json(cloud)
+        text = jsonio.canonical_dumps(doc)
+        assert len(cloud) == members
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert doc["quotients"] == [q.to_jsonable() for q in cloud.quotients]
+        back = jsonio.cloud_from_json(doc)
+        assert jsonio.canonical_dumps(jsonio.cloud_to_json(back)) == text
+
 
 class TestDiagnostics:
     def test_missing_key_names_path(self):
@@ -58,6 +97,12 @@ class TestDiagnostics:
         doc = {"space": jsonio.space_to_json(RUNNING.space), "weights": [1.0]}
         with pytest.raises(jsonio.SchemaError, match="weights"):
             jsonio.measure_from_json(doc)
+
+    def test_cloud_member_with_wrong_cell_count(self):
+        doc = jsonio.cloud_to_json(quotient_cloud(RUNNING, 2, mode="enumerate", cells=4))
+        doc["k"] = 3
+        with pytest.raises(jsonio.SchemaError, match="cloud: cloud member has 2 cells"):
+            jsonio.cloud_from_json(doc)
 
     def test_bad_graph_entry(self):
         doc = {

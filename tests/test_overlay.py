@@ -123,6 +123,12 @@ class TestOverlayGraph:
             res.value, abs=1e-12
         )
 
+    @pytest.mark.parametrize("alpha", [[0.75, 0.75], [0.5, 0.25], [1.25, -0.25]])
+    def test_alpha_must_be_a_probability_vector(self, alpha):
+        g = CbGraph.from_edges(RUNNING_KERNEL.space, 2, [(0, 1, [0.0, 1.0])])
+        with pytest.raises(ValueError, match="probability vector"):
+            overlay_graph(RUNNING_KERNEL, g, alpha=alpha, cells=4)
+
     def test_irrational_alpha_falls_back_with_warning(self):
         z = RUNNING_KERNEL.space
         g = edge_graph(z)

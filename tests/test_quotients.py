@@ -43,11 +43,16 @@ def random_quotient(rng, space, k):
     return Quotient(space, a, b)
 
 
+def line_space(rng, m):
+    """m points on a line at random gaps."""
+    x = np.cumsum(rng.random(m) + 0.1)
+    return DecorationSpace(tuple(range(m)), np.abs(x[:, None] - x[None, :]))
+
+
 def hausdorff_clouds(m, k, na, nb):
     """Clouds of na and nb random k-cell quotients on an m-point line metric."""
     rng = np.random.default_rng([m, k, na, nb])
-    x = np.cumsum(rng.random(m) + 0.1)
-    z = DecorationSpace(tuple(range(m)), np.abs(x[:, None] - x[None, :]))
+    z = line_space(rng, m)
     a = QuotientCloud(z, k, tuple(random_quotient(rng, z, k) for _ in range(na)), {})
     b = QuotientCloud(z, k, tuple(random_quotient(rng, z, k) for _ in range(nb)), {})
     return a, b
@@ -74,6 +79,30 @@ HAUSDORFF_PINNED = [
     (5, 3, 7, 13, 1.3944529541122277, 0.9052453980967184),
     (5, 3, 40, 3, 1.7459563566124583, 1.2172852377181163),
 ]
+
+
+# (k, m, dsquare) of two random quotients, computed with one unchunked
+# Levy-Prokhorov call over all 4**k rectangles
+DSQUARE_PINNED = [
+    (3, 2, 1.5476505847692446),
+    (3, 3, 0.7619626733687301),
+    (4, 2, 1.2419850007831066),
+    (4, 3, 1.3344678022329597),
+    (5, 2, 0.6771970701572883),
+    (5, 3, 1.0564056584838362),
+    (6, 2, 0.8049479600369449),
+    (6, 3, 1.307114124013688),
+]
+
+
+def quotient_oracle(kernel, rho):
+    """One quotient by one three-operand contraction (test-local)."""
+    alpha = rho.sum(axis=0)
+    scaled = np.einsum("pi,pqm,qj->ijm", rho, kernel.entries, rho, optimize=True)
+    mass = np.outer(alpha, alpha)
+    beta = scaled / np.where(mass > 1e-12, mass, 1.0)[:, :, None]
+    beta[mass <= 1e-12] = 0.0
+    return alpha / alpha.sum(), beta
 
 
 def d1_oracle(a, b):
@@ -141,6 +170,26 @@ class TestQuotientConstruction:
         q = quotient(w, rho)
         masses = q.beta.sum(axis=2)
         assert np.allclose(masses, 1.0)
+
+    def test_member_alone_matches_member_in_a_batch(self):
+        from stepkernels.overlay import _random_transport_vertex
+
+        rng = np.random.default_rng(40)
+        z = DecorationSpace.discrete(range(3))
+        w = StepKernel(z, np.array([1, 2, 4]) / 7, rng.dirichlet(np.ones(3), size=(3, 3)))
+        rho = []
+        for _ in range(150):
+            a = rng.dirichlet(np.ones(3))
+            rho += [np.outer(w.part_sizes, a), _random_transport_vertex(w.part_sizes, a, rng)]
+        rho = np.array(rho)
+        alpha, beta = quotients._quotient_stack(w, rho)
+        for i in (0, 1, 2, 151, 299):
+            alone = quotient(w, OverlapMatrix(rho[i]))
+            one_row = quotients._quotient_stack(w, rho[i : i + 1])
+            want = quotient_oracle(w, rho[i])
+            for got in ((alone.alpha, alone.beta), (one_row[0][0], one_row[1][0]), want):
+                assert np.array_equal(got[0], alpha[i])
+                assert np.array_equal(got[1], beta[i])
 
     def test_infeasible_overlap_rejected(self):
         with pytest.raises(ValueError, match="row sums"):
@@ -257,6 +306,44 @@ class TestQuotientCloud:
         for q in cloud.quotients:
             assert np.allclose(q.alpha, [0.5, 0.5])
 
+    @pytest.mark.parametrize("k, alpha", [(2, [1 / 3, 2 / 3]), (3, [0.5, 0.0, 0.5]), (1, [1.0])])
+    def test_alpha_filter_keeps_the_full_enumeration_order(self, k, alpha):
+        rng = np.random.default_rng(41)
+        w = random_prob_kernel(rng, DecorationSpace.two_point(), 3)
+        full = quotient_cloud(w, k, mode="enumerate", cells=6)
+        part = quotient_cloud(w, k, mode="enumerate", cells=6, alpha=alpha)
+        keep = np.abs(full.alpha - alpha).max(axis=1) < 1e-9
+        assert len(part) == keep.sum() >= 1
+        assert np.array_equal(part.alpha, full.alpha[keep])
+        assert np.array_equal(part.beta, full.beta[keep])
+
+    def test_members_are_built_only_when_read(self, monkeypatch):
+        made = []
+        init = Quotient.__init__
+
+        def counted(self, *args):
+            made.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(Quotient, "__init__", counted)
+        cloud = quotient_cloud(RUNNING_KERNEL, 2, mode="sample", cells=8, count=16, seed=3)
+        assert made == [] and len(cloud) > 0
+        members = cloud.quotients
+        assert len(made) == len(members) == len(cloud)
+
+    def test_tuple_built_cloud_stacks_its_members(self):
+        rng = np.random.default_rng(42)
+        z = DecorationSpace.discrete(range(3))
+        members = tuple(random_quotient(rng, z, 2) for _ in range(5))
+        cloud = QuotientCloud(z, 2, members, {})
+        assert cloud.alpha.shape == (5, 2) and cloud.beta.shape == (5, 2, 2, 3)
+        assert not cloud.alpha.flags.writeable and not cloud.beta.flags.writeable
+        for q, back, scaled in zip(members, cloud.quotients, cloud.scaled()):
+            assert np.array_equal(q.alpha, back.alpha) and np.array_equal(q.beta, back.beta)
+            assert np.array_equal(q.scaled(), scaled)
+        with pytest.raises(ValueError, match="has 2 cells, not 3"):
+            QuotientCloud(z, 3, members, {})
+
     def test_sample_mode_provenance_and_determinism(self):
         a = quotient_cloud(RUNNING_KERNEL, 2, mode="sample", cells=8, count=16, seed=3)
         b = quotient_cloud(RUNNING_KERNEL, 2, mode="sample", cells=8, count=16, seed=3)
@@ -365,6 +452,27 @@ class TestHausdorffChunks:
         monkeypatch.setattr(quotients, "_pairwise_dsquare", unreachable)
         with pytest.raises(ValueError, match="GiB"):
             hausdorff(cloud, cloud, "dsquare")
+
+
+class TestDsquareChunks:
+    @pytest.mark.parametrize("chunk", [None, 1 << 6])
+    @pytest.mark.parametrize("k, m, value", DSQUARE_PINNED)
+    def test_pinned_values(self, monkeypatch, chunk, k, m, value):
+        # a small chunk budget splits the 4**k rectangles over many calls
+        if chunk is not None:
+            monkeypatch.setattr(measures, "LP_CHUNK", chunk)
+        rows = []
+
+        def counted(space, mus, nus):
+            rows.append(len(mus))
+            return measures.lp_distance_batch(space, mus, nus)
+
+        monkeypatch.setattr(quotients, "lp_distance_batch", counted)
+        rng = np.random.default_rng([k, m, 7])
+        z = line_space(rng, m)
+        a, b = random_quotient(rng, z, k), random_quotient(rng, z, k)
+        assert dsquare_quotient(a, b) == value
+        assert sum(rows) == 4**k and max(rows) <= measures.lp_chunk_rows(m)
 
 
 class TestRebalance:

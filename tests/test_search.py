@@ -28,6 +28,7 @@ from stepkernels.search import (
     SearchBudget,
     argmax_chunks,
     chunked,
+    count_assignments,
     flip_search,
     pair_reduce,
     qap_optimize,
@@ -66,6 +67,34 @@ class TestEnumeration:
         assert all(b.dtype == np.intp for b in blocks)
         assert np.concatenate(blocks).tolist() == [list(p) for p in itertools.permutations(range(4))]
         assert list(chunked([], 5)) == []
+
+    @pytest.mark.parametrize(
+        "n, counts",
+        [(4, [4]), (5, [2, 0, 3]), (6, [0, 6, 0]), (7, [2, 2, 3]), (8, [3, 0, 5]), (14, [7, 7])],
+    )
+    def test_count_assignments_match_filtered_product(self, n, counts):
+        want = [
+            z for z in itertools.product(range(len(counts)), repeat=n)
+            if all(z.count(c) == counts[c] for c in range(len(counts)))
+        ]
+        blocks = list(count_assignments(n, counts))
+        # (14, [7, 7]) has 3432 rows: one partial block; the others fit in one
+        assert all(b.dtype == np.intp and b.shape[0] <= 4096 for b in blocks)
+        assert np.concatenate(blocks).tolist() == [list(z) for z in want]
+
+    def test_count_assignments_blocks_of_4096(self):
+        blocks = list(count_assignments(12, [4, 4, 4]))
+        assert [b.shape[0] for b in blocks] == [4096] * 8 + [34650 - 8 * 4096]
+        rows = np.concatenate(blocks)
+        assert (np.sort(rows, axis=1) == np.repeat(np.arange(3), 4)).all()
+        # strictly increasing in lexicographic order, hence every row once
+        diff = rows[1:] - rows[:-1]
+        lead = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]
+        assert (lead > 0).all()
+
+    def test_count_assignments_without_rows(self):
+        assert list(count_assignments(3, [1, 1])) == []
+        assert list(count_assignments(2, [3, -1])) == []
 
     def test_pair_reduce_matches_qap_value(self):
         rng = np.random.default_rng(0)
