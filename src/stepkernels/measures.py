@@ -39,9 +39,10 @@ __all__ = [
 ABS_TOL = 1e-12
 # 2**m subsets are enumerated when computing the Levy-Prokhorov distance.
 LP_EXACT_MAX_POINTS = 20
-# Subset masses (2**m per row) per bulk lp_distance_batch call, so that its
-# (2**m, B) work arrays stay in cache; 2**14 ran faster than 2**16 and 2**18
-# for every chunked caller.
+# Entries per chunk of the bulk enumerations, so that their work arrays stay
+# in cache: subset masses (2**m per row) per lp_distance_batch call, and
+# row-set sums per chunk of search.rectangle_max; 2**14 ran faster than 2**16
+# and 2**18 for every chunked Levy-Prokhorov caller.
 LP_CHUNK = 1 << 14
 
 
@@ -146,6 +147,27 @@ class DecorationSpace:
                 reach = self.dist <= t + ABS_TOL
                 tables.append(masks @ reach > 0)
             self._cache[key] = tables
+        return self._cache[key]
+
+    def _closed_sets(self, r: int):
+        """Nonempty closed subsets at threshold r and their t_r-enlargements.
+
+        U is closed when it holds every point whose enlargement lies inside
+        U's; only closed U can attain a Levy-Prokhorov gap.  Returns two int
+        arrays of subset indices (bit x for point x): the closed U, and U^r.
+        """
+        key = ("closed", r)
+        if key not in self._cache:
+            within = self.dist <= self.thresholds()[r] + ABS_TOL
+            single = within.astype(np.intp) @ (1 << np.arange(self.size))
+            near = np.zeros(1 << self.size, dtype=np.intp)
+            for x in range(self.size):
+                np.bitwise_or(near[: 1 << x], single[x], out=near[1 << x : 2 << x])
+            held = np.zeros_like(near)
+            for x in range(self.size):
+                held[(single[x] & ~near) == 0] |= 1 << x
+            sets = np.flatnonzero(held == np.arange(near.size))[1:]
+            self._cache[key] = (_frozen(sets, np.intp), _frozen(near[sets], np.intp))
         return self._cache[key]
 
     @classmethod

@@ -3,11 +3,16 @@
 The labeled distances take a supremum of a measure discrepancy over
 rectangles S x T.  For step kernels the supremum is attained on unions of
 parts (by bilinearity for the real cut norm, convexity for the test-family
-norm, and quasi-convexity of the Levy-Prokhorov distance), so the exact tier
-enumerates subset pairs of parts.  The unlabeled distances minimize the
-labeled ones over permutations of a common uniform refinement: exhaustively
-up to EXACT_PERM_MAX parts, by simulated annealing beyond, always reporting
-an exactness flag and the best permutation found.
+norm, and quasi-convexity of the Levy-Prokhorov distance).  Each distance is
+a maximum of real block functionals (sign vectors for the test family, mass
+gaps per threshold interval for Levy-Prokhorov), and for a fixed row set S
+the best column set keeps the positive column sums, so the exact tier
+enumerates the 2**P row sets in ``search.rectangle_max`` (a family of more
+functions than parts enumerates the column sets of each row set instead of
+its sign vectors).  The unlabeled
+distances minimize the labeled ones over permutations of a common uniform
+refinement: exhaustively up to EXACT_PERM_MAX parts, by simulated annealing
+beyond, always reporting an exactness flag and the best permutation found.
 """
 
 from __future__ import annotations
@@ -25,16 +30,21 @@ from .kernels import (
     relabel,
     uniform_refine,
 )
-from .measures import TestFamily, _subset_masks, lp_chunk_rows, lp_distance_batch
+from . import measures
+from .measures import TestFamily, _subset_masks, lp_distance_batch
 from .search import (
     EXACT_PERM_MAX,
     SearchBudget,
     SearchResult,
     anneal_permutation,
     chunked,
+    lp_rectangle_max,
+    ordered_matmul,
     pair_reduce,
     qap_optimize,
+    rectangle_max,
     rectangle_search,
+    subset_sums,
 )
 
 __all__ = [
@@ -52,8 +62,9 @@ __all__ = [
     "f_inner",
 ]
 
-# Exact tiers: subset pairs of parts are enumerated for the cut distances
-# (4**P pairs), single subsets for the real cut norm (2**P).
+# Exact tiers: the 2**P row sets of parts are enumerated, for each block
+# functional of a cut distance and for the real cut norm (and their 2**P
+# column sets for a test family of more functions than parts).
 CUT_ENUM_MAX_PARTS = 12
 CUT_NORM_MAX_PARTS = 24
 _EQUALITY_DFS_NODE_CAP = 200_000
@@ -100,18 +111,7 @@ def cut_norm_real(w: RealStepKernel) -> float:
             f"{CUT_NORM_MAX_PARTS} parts; call cut_norm_real_search instead"
         )
     weighted = w.values * np.outer(w.part_sizes, w.part_sizes)
-    best = 0.0
-    chunk = 1 << min(p, 16)
-    n_subsets = 1 << p
-    bit_cols = np.arange(p, dtype=np.uint32)
-    for start in range(0, n_subsets, chunk):
-        idx = np.arange(start, min(start + chunk, n_subsets), dtype=np.uint32)
-        rows = ((idx[:, None] >> bit_cols) & 1).astype(float)
-        col_sums = rows @ weighted
-        pos = np.clip(col_sums, 0.0, None).sum(axis=1)
-        neg = np.clip(-col_sums, 0.0, None).sum(axis=1)
-        best = max(best, float(pos.max(initial=0.0)), float(neg.max(initial=0.0)))
-    return best
+    return float(rectangle_max(np.stack([weighted, -weighted], axis=-1)[None]).max())
 
 
 def cut_norm_real_search(w: RealStepKernel, budget: Optional[SearchBudget] = None) -> SearchResult:
@@ -163,10 +163,42 @@ def _weighted_entries(k: StepKernel) -> np.ndarray:
     return k.entries * np.multiply.outer(np.outer(lam, lam), np.ones(k.space.size))
 
 
-def _subset_aggregates(weighted: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """All-subset-pair block integrals: (2**P, 2**P, m)."""
-    b = masks.astype(float)
-    return np.einsum("sp,pqm,tq->stm", b, weighted, b, optimize=True)
+def _sign_vectors(k: int, p: int) -> bool:
+    """Whether a family of k functions is searched by its 2**k sign vectors
+    (cheaper than the 2**p column sets of every row set when k <= p)."""
+    return (p << k) <= (k << p)
+
+
+def _f_rectangles(fam: TestFamily, diff: np.ndarray) -> np.ndarray:
+    """Test-family rectangle suprema of a (C, P, P, m) stack of signed block
+    masses, (C,) values.
+
+    With x_k the scale-weighted k-th family integral over S x T, the value
+    is the largest sum_k |x_k|.  That is the largest sum_k sigma_k x_k over
+    the 2**K sign vectors sigma, so for a small family each sign vector is
+    one real block functional of ``rectangle_max``, taken in power-of-two
+    chunks of at least two within about 64 * LP_CHUNK entries.  A larger
+    family enumerates the 2**P column sets of every row set instead, in
+    chunks of row sets within about 16 * LP_CHUNK entries.
+    """
+    x = ordered_matmul(diff, fam.values.T * fam.scale_weights())
+    c, p, _, k = x.shape
+    best = np.zeros(c)
+    if _sign_vectors(k, p):
+        masks = _subset_masks(k)
+        step = 1 << max(1, ((measures.LP_CHUNK << 6) // x[..., 0].size).bit_length() - 1)
+        for i in range(0, len(masks), step):
+            signs = 1.0 - 2.0 * masks[i : i + step]
+            np.maximum(best, rectangle_max(ordered_matmul(x, signs.T)).max(axis=1), out=best)
+        return best
+    rows = subset_sums(x.transpose(1, 2, 0, 3).reshape(p, -1))  # [S, q, c, k]
+    cols = np.ascontiguousarray(rows.reshape(-1, p, c * k).transpose(1, 0, 2)).reshape(p, -1)
+    span = c * k * max(1, (measures.LP_CHUNK << 4) // (c * k << p))  # whole row sets
+    for i in range(0, cols.shape[1], span):
+        table = subset_sums(cols[:, i : i + span])  # [T, S, c, k]
+        vals = np.abs(table, out=table).reshape(1 << p, -1, c, k).sum(axis=3)
+        np.maximum(best, vals.max(axis=(0, 1)), out=best)
+    return best
 
 
 def cut_dist_lp(u: StepKernel, w: StepKernel) -> float:
@@ -183,26 +215,9 @@ def cut_dist_lp(u: StepKernel, w: StepKernel) -> float:
                 f"{name} kernel is signed; the Levy-Prokhorov cut distance "
                 "needs nonnegative kernels (use cut_dist_f)"
             )
-    p = u.n_parts
-    if p > CUT_ENUM_MAX_PARTS:
-        raise ValueError(
-            f"exact cut distance enumerates 4**P subset pairs and is capped "
-            f"at {CUT_ENUM_MAX_PARTS} parts; call cut_dist_search instead"
-        )
-    m = u.space.size
-    masks = _subset_masks(p)
-    agg_u = _subset_aggregates(_weighted_entries(u), masks)
-    agg_w = _subset_aggregates(_weighted_entries(w), masks)
-    flat_u = np.clip(agg_u.reshape(-1, m), 0.0, None)
-    flat_w = np.clip(agg_w.reshape(-1, m), 0.0, None)
-    batch = lp_chunk_rows(m)
-    best = 0.0
-    for start in range(0, flat_u.shape[0], batch):
-        d = lp_distance_batch(
-            u.space, flat_u[start : start + batch], flat_w[start : start + batch]
-        )
-        best = max(best, float(d.max(initial=0.0)))
-    return best
+    _require_enumerable(u.n_parts)
+    blocks_u, blocks_w = _weighted_entries(u)[None], _weighted_entries(w)[None]
+    return float(lp_rectangle_max(u.space, blocks_u, blocks_w)[0])
 
 
 def cut_dist_f(u: StepKernel, w: StepKernel, fam: TestFamily) -> float:
@@ -213,24 +228,16 @@ def cut_dist_f(u: StepKernel, w: StepKernel, fam: TestFamily) -> float:
     """
     u, w = _aligned(u, w)
     u.space.require_same(fam.space)
-    p = u.n_parts
+    _require_enumerable(u.n_parts)
+    return float(_f_rectangles(fam, (_weighted_entries(u) - _weighted_entries(w))[None])[0])
+
+
+def _require_enumerable(p: int) -> None:
     if p > CUT_ENUM_MAX_PARTS:
         raise ValueError(
-            f"exact cut distance enumerates 4**P subset pairs and is capped "
+            f"exact cut distance enumerates 2**P row sets and is capped "
             f"at {CUT_ENUM_MAX_PARTS} parts; call cut_dist_search instead"
         )
-    masks = _subset_masks(p)
-    diff = _weighted_entries(u) - _weighted_entries(w)
-    scale = fam.scale_weights()
-    b = masks.astype(float)
-    best = 0.0
-    chunk = max(1, (1 << 22) // ((1 << p) * u.space.size))
-    for start in range(0, 1 << p, chunk):
-        part = np.einsum("sp,pqm->sqm", b[start : start + chunk], diff)
-        agg = np.einsum("sqm,tq->stm", part, b)
-        fvals = np.abs(agg @ fam.values.T) @ scale
-        best = max(best, float(fvals.max(initial=0.0)))
-    return best
 
 
 def cut_dist_search(
@@ -398,8 +405,9 @@ def _delta_exhaustive(u, w, metric, fam):
 
     Branch pruning: the distance between single-block rectangles lower-bounds
     the full rectangle supremum, and those bounds are cheap for every
-    permutation at once.  Permutations are evaluated in ascending
-    lower-bound order until the bound reaches the incumbent.
+    permutation at once.  Stacks of relabelings of w are evaluated in
+    ascending lower-bound order until the bound reaches the incumbent; the
+    first permutation attaining the minimum wins.
     """
     n = u.n_parts
     m = u.space.size
@@ -414,6 +422,9 @@ def _delta_exhaustive(u, w, metric, fam):
             np.abs(fu_blk[:, :, None, None, :] - fw_blk[None, None, :, :, :]),
             scale,
         )
+
+        def values(stack):
+            return _f_rectangles(fam, wu[None] - stack)
     else:
         pairs_u = np.broadcast_to(np.clip(wu, 0, None)[:, :, None, None, :], (n, n, n, n, m))
         pairs_w = np.broadcast_to(np.clip(ww, 0, None)[None, None, :, :, :], (n, n, n, n, m))
@@ -421,85 +432,30 @@ def _delta_exhaustive(u, w, metric, fam):
             u.space, pairs_u.reshape(-1, m), pairs_w.reshape(-1, m)
         ).reshape(n, n, n, n)
 
+        def values(stack):
+            return lp_rectangle_max(u.space, wu[None], stack)
+
     perms = np.concatenate(list(chunked(itertools.permutations(range(n)))))
     bounds = pair_reduce(single, perms, np.maximum)
     order = np.argsort(bounds, kind="stable")
     perms = perms[order]
     bounds = bounds[order]
 
-    masks = _subset_masks(n)
-    agg_u = _subset_aggregates(wu, masks)
-    agg_w = _subset_aggregates(ww, masks)
+    # at most this many block functionals per threshold, for each relabeling
     if metric == "f":
-        scale = fam.scale_weights()
-        fu = agg_u @ fam.values.T
-        fw = agg_w @ fam.values.T
-        reference = np.abs(fu) @ scale
+        width = 1 << len(fam) if _sign_vectors(len(fam), n) else len(fam)
     else:
-        clip_u = np.clip(agg_u, 0.0, None)
-        clip_w = np.clip(agg_w, 0.0, None)
-        reference = clip_u.sum(axis=2)
-    powers = (1 << np.arange(n)).astype(np.intp)
-    masks_int = masks.astype(np.intp)
-
-    def full_value(perm):
-        smap = masks_int @ powers[perm]
-        if metric == "f":
-            vals = np.abs(fu - fw[smap][:, smap]) @ scale
-            return float(vals.max())
-        pw = clip_w[smap][:, smap].reshape(-1, m)
-        flat_u = clip_u.reshape(-1, m)
-        value = 0.0
-        batch = lp_chunk_rows(m)
-        for start in range(0, flat_u.shape[0], batch):
-            d = lp_distance_batch(
-                u.space, flat_u[start : start + batch], pw[start : start + batch]
-            )
-            value = max(value, float(d.max(initial=0.0)))
-        return value
-
-    best_perm = perms[0].copy()
-    best = full_value(best_perm)
-    alive = bounds < best
-    survivors = perms[alive]
-    if survivors.shape[0] == 0:
-        return best, best_perm
-
-    # race the surviving permutations over subset pairs, most discriminative
-    # rectangles first, dropping a permutation once its running maximum
-    # reaches the incumbent
-    n_sub = 1 << n
-    pair_order = np.argsort(reference.ravel(), kind="stable")[::-1]
-    s_idx_all = pair_order // n_sub
-    t_idx_all = pair_order % n_sub
-    smaps = (masks_int @ powers[survivors].T).T
-    running = np.zeros(survivors.shape[0])
-    chunk_pairs = 64 if metric == "f" else 32
-    for start in range(0, pair_order.size, chunk_pairs):
-        s_idx = s_idx_all[start : start + chunk_pairs]
-        t_idx = t_idx_all[start : start + chunk_pairs]
-        if metric == "f":
-            gathered = fw[smaps[:, s_idx], smaps[:, t_idx]]
-            vals = np.abs(fu[s_idx, t_idx][None, :, :] - gathered) @ scale
-        else:
-            mu = np.broadcast_to(
-                clip_u[s_idx, t_idx][None, :, :], (survivors.shape[0], s_idx.size, m)
-            ).reshape(-1, m)
-            nu = clip_w[smaps[:, s_idx], smaps[:, t_idx]].reshape(-1, m)
-            vals = lp_distance_batch(u.space, mu, nu).reshape(survivors.shape[0], -1)
-        np.maximum(running, vals.max(axis=1), out=running)
-        keep = running < best
-        if not keep.all():
-            survivors = survivors[keep]
-            smaps = smaps[keep]
-            running = running[keep]
-            if survivors.shape[0] == 0:
-                break
-    if survivors.shape[0]:
-        i = int(np.argmin(running))
-        if running[i] < best:
-            best = float(running[i])
-            best_perm = survivors[i].copy()
+        width = 1 << (m + 1)
+    size = max(1, (measures.LP_CHUNK << 4) // (width * n << n))
+    best, best_perm = np.inf, perms[0].copy()
+    start = 0
+    while start < perms.shape[0] and bounds[start] < best:
+        stack = perms[start : min(start + size, int(np.searchsorted(bounds, best)))]
+        vals = values(ww[stack[:, :, None], stack[:, None, :]])
+        i = int(np.argmin(vals))
+        if vals[i] < best:
+            best, best_perm = float(vals[i]), stack[i].copy()
+        start += stack.shape[0]
     return best, best_perm
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -23,7 +24,14 @@ from .measures import (
     lp_distance_batch,
 )
 from .overlay import OverlapMatrix
-from .search import SearchBudget, SearchResult, chunked, count_assignments, rectangle_search
+from .search import (
+    SearchBudget,
+    SearchResult,
+    chunked,
+    count_assignments,
+    lp_rectangle_max,
+    rectangle_search,
+)
 
 __all__ = [
     "DSQUARE_ENUM_MAX",
@@ -180,19 +188,7 @@ def dsquare_quotient(a: Quotient, b: Quotient) -> float:
         )
     sa = _require_nonneg_scaled(a, "first quotient")
     sb = _require_nonneg_scaled(b, "second quotient")
-    m = a.space.size
-    masks = _subset_masks(k).astype(float)
-    agg_a = np.einsum("si,ijm,tj->stm", masks, sa, masks, optimize=True).reshape(-1, m)
-    agg_b = np.einsum("si,ijm,tj->stm", masks, sb, masks, optimize=True).reshape(-1, m)
-    batch = lp_chunk_rows(m)
-    best = 0.0
-    for start in range(0, agg_a.shape[0], batch):
-        d = lp_distance_batch(
-            a.space,
-            np.clip(agg_a[start : start + batch], 0.0, None),
-            np.clip(agg_b[start : start + batch], 0.0, None),
-        )
-        best = max(best, float(d.max(initial=0.0)))
+    best = lp_rectangle_max(a.space, sa[None], sb[None])[0]
     return float(np.abs(a.alpha - b.alpha).sum() + best)
 
 
@@ -219,8 +215,9 @@ class QuotientCloud:
     """Finite skeleton of a quotient set, with generation provenance.
 
     The members are stored stacked: ``alpha`` is (N, k) and ``beta`` is
-    (N, k, k, m).  ``quotients`` builds them as ``Quotient`` objects on every
-    read.
+    (N, k, k, m).  ``quotients`` builds them as ``Quotient`` objects on the
+    first read and returns the same tuple afterwards; the arrays are
+    read-only, so the tuple cannot go stale.
     """
 
     space: DecorationSpace
@@ -254,7 +251,7 @@ class QuotientCloud:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "provenance", provenance)
 
-    @property
+    @cached_property
     def quotients(self) -> tuple:
         return tuple(Quotient(self.space, a, b) for a, b in zip(self.alpha, self.beta))
 

@@ -5,7 +5,9 @@ Callers supply only the objective.  Chunked enumeration (``chunked``,
 hence exact, up to ``EXACT_PERM_MAX`` parts and in the grid oracles.
 ``flip_search`` climbs by single-coordinate flips of a boolean vector and
 gives a flagged lower bound; ``rectangle_search`` runs it over the rows and
-columns of S x T.
+columns of S x T.  ``rectangle_max`` is the exact rectangle supremum of real
+block functionals, over the 2**P row sets (``subset_sums``), and
+``lp_rectangle_max`` the Levy-Prokhorov one built on it.
 ``anneal_permutation`` is simulated annealing over permutations (geometric
 cooling, random-transposition proposals, exponential acceptance).  All
 randomness is keyed by explicit seeds; restarts are independent and the
@@ -21,6 +23,8 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
+from . import measures
+
 __all__ = [
     "EXACT_PERM_MAX",
     "FLIP_STEPS",
@@ -32,6 +36,10 @@ __all__ = [
     "argmax_chunks",
     "flip_search",
     "rectangle_search",
+    "subset_sums",
+    "ordered_matmul",
+    "rectangle_max",
+    "lp_rectangle_max",
     "qap_value",
     "qap_optimize",
     "anneal_permutation",
@@ -215,6 +223,109 @@ def rectangle_search(
 
     value, x = flip_search(scan, 2 * p, budget, key)
     return value, None if x is None else (x[:p], x[p:])
+
+
+def subset_sums(rows: np.ndarray) -> np.ndarray:
+    """(2**n, N) sums of every subset of the n rows of an (n, N) array.
+
+    Row s adds the rows in the bits of s as a left fold in ascending row
+    order, so no entry depends on N.
+    """
+    table = np.zeros((1 << rows.shape[0], rows.shape[1]))
+    for b in range(rows.shape[0]):
+        np.add(table[: 1 << b], rows[b], out=table[1 << b : 2 << b])
+    return table
+
+
+def ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for an (..., n) stack and an (n, F) matrix, each entry a left
+    fold over n in ascending order.
+
+    BLAS may round the same entry differently for other matrix shapes; this
+    form makes an entry depend only on its own row and column, whatever the
+    stack or chunk it is computed in.
+    """
+    out = np.zeros(a.shape[:-1] + b.shape[1:])
+    for i in range(a.shape[-1]):
+        out += a[..., i, None] * b[i]
+    return out
+
+
+def rectangle_max(blocks: np.ndarray) -> np.ndarray:
+    """Exact rectangle suprema of a stack of real block functionals.
+
+    ``blocks`` is (C, P, P, F); returns the (C, F) maxima over row sets S
+    and column sets T of the sum of blocks[c, p, q, f] over S x T.  For a
+    fixed S the best T keeps the positive column sums (Frieze-Kannan), so
+    only the 2**P row sets are enumerated, in chunks of about
+    ``measures.LP_CHUNK`` entries.  Each row set adds its rows in ascending
+    order and each value sums its columns in one fixed order, so the result
+    does not depend on the chunk size or on C.
+    """
+    c, p, q, f = blocks.shape
+    group = max(1, measures.LP_CHUNK // (f * q << p))  # members whose tables fit a chunk
+    if c > group:
+        return np.concatenate([rectangle_max(blocks[i : i + group]) for i in range(0, c, group)])
+    rows = np.ascontiguousarray(blocks.transpose(1, 0, 3, 2)).reshape(p, -1)
+    low = min(p, max(0, (measures.LP_CHUNK // rows.shape[1]).bit_length() - 1))
+    table = subset_sums(rows[:low])
+    best = np.zeros((c, f))
+    for high in range(1 << (p - low)):
+        sums = table
+        for b in range(p - low):
+            if high >> b & 1:
+                sums = np.add(sums, rows[low + b], out=None if sums is table else sums)
+        cols = np.maximum(sums, 0.0, out=None if sums is table else sums).reshape(-1, c, f, q)
+        np.maximum(best, cols.sum(axis=3).max(axis=0), out=best)
+    return best
+
+
+def lp_rectangle_max(space, blocks_u: np.ndarray, blocks_w: np.ndarray) -> np.ndarray:
+    """Levy-Prokhorov rectangle suprema between stacks of block masses.
+
+    ``blocks_u`` and ``blocks_w`` are nonnegative (C, P, P, m) stacks, either
+    may be a single (1, P, P, m) entry; returns the (C,) suprema over S x T of
+    the distance between the two S x T masses.  On threshold interval r a
+    pair needs eps at least its gap G_r, the largest mu(U) - nu(U^r) or
+    nu(U) - mu(U^r) over U, and G_r does not grow with r; so a pair's
+    distance is max(G_r, t_r) at the first r with G_r <= t_(r+1), and the
+    supremum over rectangles is the same scan on the rectangle suprema of the
+    gaps.  Only closed U can attain a gap.  The masses of every subset are
+    formed once when they fit in 32 * ``measures.LP_CHUNK`` entries a side;
+    otherwise each chunk of closed U forms its own, within 64 * LP_CHUNK gap
+    entries, so large spaces stay in memory.  Both give the same bits.
+    """
+    thresholds = space.thresholds()
+    points = np.arange(space.size)[:, None]
+    budget = measures.LP_CHUNK << 5
+    whole = max(len(blocks_u), len(blocks_w)) * blocks_u[0, ..., 0].size << space.size <= budget
+    if whole:
+        every = np.arange(1 << space.size) >> points & 1
+        blocks_u, blocks_w = ordered_matmul(blocks_u, every), ordered_matmul(blocks_w, every)
+
+    def mass(blocks, subsets):
+        return blocks[..., subsets] if whole else ordered_matmul(blocks, subsets >> points & 1)
+
+    out = np.empty(max(len(blocks_u), len(blocks_w)))
+    todo = np.arange(out.size)
+    for r, t in enumerate(thresholds):
+        sets, near = space._closed_sets(r)
+        bu = blocks_u if len(blocks_u) == 1 else blocks_u[todo]
+        bw = blocks_w if len(blocks_w) == 1 else blocks_w[todo]
+        step = max(1, budget // (todo.size * bu[0, ..., 0].size))
+        value = np.zeros(todo.size)
+        for i in range(0, sets.size, step):
+            inner, outer = sets[i : i + step], near[i : i + step]
+            gaps = np.concatenate(
+                [mass(bu, inner) - mass(bw, outer), mass(bw, inner) - mass(bu, outer)], axis=3
+            )
+            np.maximum(value, rectangle_max(gaps).max(axis=1), out=value)
+        done = value <= (thresholds[r + 1] if r + 1 < len(thresholds) else np.inf)
+        out[todo[done]] = np.maximum(value[done], t)
+        todo = todo[~done]
+        if todo.size == 0:
+            break
+    return out
 
 
 def qap_value(interactions: np.ndarray, perm: np.ndarray) -> float:

