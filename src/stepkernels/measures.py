@@ -2,9 +2,9 @@
 
 Measures on a finite metric space are dense weight vectors indexed by the
 space's points.  Two metrizations of weak convergence are provided: the exact
-Levy-Prokhorov distance (computed by subset enumeration, so only practical for
-small spaces) and the norm induced by a finite family of [0,1]-valued test
-functions.
+Levy-Prokhorov distance (an upward threshold scan over the closed subsets
+that stops at the first feasible threshold, so only practical for small
+spaces) and the norm induced by a finite family of [0,1]-valued test functions.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ LP_EXACT_MAX_POINTS = 20
 # Entries per chunk of the bulk enumerations, so that their work arrays stay
 # in cache: subset masses (2**m per row) per lp_distance_batch call, and
 # row-set sums per chunk of search.rectangle_max; 2**14 ran faster than 2**16
-# and 2**18 for every chunked Levy-Prokhorov caller.
+# and 2**18 for every chunked Levy-Prokhorov caller.  lp_distance_batch splits
+# a larger call only past 64 times this, to bound its memory.
 LP_CHUNK = 1 << 14
 
 
@@ -132,22 +133,6 @@ class DecorationSpace:
 
     def index(self, point) -> int:
         return self.points.index(point)
-
-    def _reach_tables(self):
-        """For each threshold t: boolean (2**m, m) table of the t-enlargements.
-
-        Row s of table r indicates the set of points within distance <= t_r of
-        subset s.
-        """
-        key = "reach"
-        if key not in self._cache:
-            masks = _subset_masks(self.size)
-            tables = []
-            for t in self.thresholds():
-                reach = self.dist <= t + ABS_TOL
-                tables.append(masks @ reach > 0)
-            self._cache[key] = tables
-        return self._cache[key]
 
     def _closed_sets(self, r: int):
         """Nonempty closed subsets at threshold r and their t_r-enlargements.
@@ -371,38 +356,49 @@ def lp_distance_batch(space: DecorationSpace, mus: np.ndarray, nus: np.ndarray) 
     All pairs share ``space``.  ``mus`` and ``nus`` are (B, m) nonnegative
     arrays.  Returns a (B,) array.
 
-    For eps inside an interval between consecutive distance values the
-    enlargement U^eps is constant, so the feasibility requirement there is the
-    largest achievable mass gap max_U (mu(U) - nu(U^eps)) over both
-    directions.  Scanning every interval therefore locates the infimum
-    exactly: the candidate set is the distance values together with the
-    achievable mass gaps, and the minimum valid candidate is the distance.
+    On threshold interval r the enlargement U^r is constant, so a pair needs
+    eps at least its gap G_r, the largest mu(U) - nu(U^r) or nu(U) - mu(U^r).
+    Scanning upward, a pair stops at the first r with G_r <= t_(r+1), at
+    max(G_r, t_r): later intervals give at least t_(r+1).  Only nonempty
+    closed U are scanned, as for nonnegative weights no set beats its
+    closure.  The 2**m subset masses are formed once per block of pairs, in
+    blocks of 8 or more within about 64 * ``LP_CHUNK`` entries a table.
     """
     m = space.size
     mus = np.asarray(mus, dtype=float)
     nus = np.asarray(nus, dtype=float)
     if mus.ndim != 2 or mus.shape[1] != m or nus.shape != mus.shape:
         raise ValueError("mus and nus must be (B, m) arrays over the space")
-    masks = _subset_masks(m)
+    # blocks of 8 or more rows: 1- and 2-row products round differently
+    rows = max(16, (LP_CHUNK << 6) >> m)
+    if len(mus) <= rows:
+        return _lp_scan(space, mus, nus)
+    blocks = -(-len(mus) // rows)
+    pairs = zip(np.array_split(mus, blocks), np.array_split(nus, blocks))
+    return np.concatenate([_lp_scan(space, a, b) for a, b in pairs])
+
+
+def _lp_scan(space: DecorationSpace, mus: np.ndarray, nus: np.ndarray) -> np.ndarray:
+    """The threshold scan of ``lp_distance_batch`` on one block of pairs."""
+    masks = _subset_masks(space.size)
     thresholds = space.thresholds()
-    reach_tables = space._reach_tables()
-    # mass of every subset, for every batch member: (2**m, B)
+    # mass of every subset, for every pair still scanned: (2**m, B)
     mu_sub = masks @ mus.T
     nu_sub = masks @ nus.T
-    best = np.full(mus.shape[0], np.inf)
-    n_thresh = len(thresholds)
-    for r in range(n_thresh):
-        t = thresholds[r]
-        t_next = thresholds[r + 1] if r + 1 < n_thresh else np.inf
-        reach = reach_tables[r]
-        mu_reach = reach @ mus.T
-        nu_reach = reach @ nus.T
-        gaps = np.maximum(mu_sub - nu_reach, nu_sub - mu_reach)
-        required = gaps.max(axis=0)
-        required = np.maximum(required, 0.0)
-        candidate = np.where(required <= t_next, np.maximum(required, t), np.inf)
-        best = np.minimum(best, candidate)
-    return best
+    out = np.empty(len(mus))
+    todo = np.arange(len(mus))
+    for r, t in enumerate(thresholds):
+        sets, near = space._closed_sets(r)
+        gap = np.maximum((mu_sub[sets] - nu_sub[near]).max(axis=0),
+                         (nu_sub[sets] - mu_sub[near]).max(axis=0))
+        required = np.maximum(gap, 0.0)
+        done = required <= (thresholds[r + 1] if r + 1 < len(thresholds) else np.inf)
+        out[todo[done]] = np.maximum(required[done], t)
+        if done.all():
+            break
+        if done.any():
+            todo, mu_sub, nu_sub = todo[~done], mu_sub[:, ~done], nu_sub[:, ~done]
+    return out
 
 
 def lp_chunk_rows(m: int) -> int:
@@ -468,19 +464,19 @@ def lp_distance_estimate(mu: SignedMeasure, nu: SignedMeasure) -> LPEstimate:
 
 
 def _single_subset_requirement(space, wa, wb, subset):
-    """Infimum of eps satisfying both directional constraints for one subset."""
+    """Infimum of eps satisfying both directional constraints for one subset.
+
+    U^t changes only at the distances d(., U), so each of its at most m + 1
+    values (the empty one at -inf) is evaluated once."""
     thresholds = space.thresholds()
-    inside = subset
-    best = np.inf
-    for r, t in enumerate(thresholds):
-        t_next = thresholds[r + 1] if r + 1 < len(thresholds) else np.inf
-        reach = (space.dist[:, inside] <= t + ABS_TOL).any(axis=1) if inside.any() \
-            else np.zeros(space.size, dtype=bool)
-        req = max(wa[inside].sum() - wb[reach].sum(),
-                  wb[inside].sum() - wa[reach].sum(), 0.0)
-        if req <= t_next:
-            best = min(best, max(req, t))
-    return best
+    near = space.dist[:, subset].min(axis=1, initial=np.inf)
+    levels = np.concatenate([[-np.inf], np.unique(near)])
+    mass_a, mass_b = wa[subset].sum(), wb[subset].sum()
+    reqs = np.array([max(mass_a - wb[near <= v].sum(), mass_b - wa[near <= v].sum(), 0.0)
+                     for v in levels])
+    req = reqs[np.searchsorted(levels, thresholds + ABS_TOL, side="right") - 1]
+    t_next = np.append(thresholds[1:], np.inf)
+    return np.where(req <= t_next, np.maximum(req, thresholds), np.inf).min()
 
 
 def _lp_greedy_lower(mu: SignedMeasure, nu: SignedMeasure, sweeps: int = 4) -> float:

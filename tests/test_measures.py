@@ -372,3 +372,131 @@ class TestLPChunk:
             for e in (rng.random((parts, parts, m)) + 0.05 for _ in range(2))
         )
         assert cut_dist_lp(u, w) == value
+
+
+def scan_all_subsets(space, mus, nus):
+    """The Levy-Prokhorov scan over every subset and every threshold
+    (test-local): per threshold, the masses of all 2**m enlargements come
+    from their own (2**m, m) @ (m, B) products, and each pair keeps the
+    smallest feasible candidate."""
+    m = space.size
+    masks = measures._subset_masks(m)
+    thresholds = space.thresholds()
+    mu_sub, nu_sub = masks @ mus.T, masks @ nus.T
+    best = np.full(mus.shape[0], np.inf)
+    for r, t in enumerate(thresholds):
+        t_next = thresholds[r + 1] if r + 1 < len(thresholds) else np.inf
+        reach = masks @ (space.dist <= t + measures.ABS_TOL) > 0
+        gaps = np.maximum(mu_sub - reach @ nus.T, nu_sub - reach @ mus.T)
+        required = np.maximum(gaps.max(axis=0), 0.0)
+        best = np.minimum(best, np.where(required <= t_next, np.maximum(required, t), np.inf))
+    return best
+
+
+def spaces_of_size(rng, m):
+    spaces = [DecorationSpace.discrete(range(m))]
+    if m == 2:
+        spaces.append(DecorationSpace.two_point(distance=0.25))
+    if m >= 2:
+        spaces.append(random_metric_space(rng, m))
+    return spaces
+
+
+def measure_rows(rng, b, m):
+    """Probability, sub-probability, zero and unnormalized rows, in turn."""
+    w = rng.random((b, m))
+    kind = np.arange(b) % 4
+    w[kind == 0] /= w[kind == 0].sum(axis=1, keepdims=True)
+    w[kind == 1] *= rng.random((int((kind == 1).sum()), 1)) / w[kind == 1].sum(axis=1, keepdims=True)
+    w[kind == 2] = 0.0
+    return w
+
+
+class TestLPScan:
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_bit_equal_to_all_subsets_scan(self, m):
+        rng = np.random.default_rng([5, m])
+        for z in spaces_of_size(rng, m):
+            for b in (1, 2, 3, 7, 192):
+                mus, nus = measure_rows(rng, b, m), measure_rows(rng, b, m)[::-1]
+                assert np.array_equal(lp_distance_batch(z, mus, nus), scan_all_subsets(z, mus, nus))
+
+    @pytest.mark.parametrize("m", [3, 6, 9])
+    def test_tiny_negative_entries_within_negative_mass(self, m):
+        # Flipped rows of a rectangle search can carry -1e-17 rounding.  Only
+        # for nonnegative weights does no set beat its closure; with negative
+        # entries a non-closed U can beat it by the negative mass the closure
+        # adds, so the closed-set scan may fall short of the all-subsets scan
+        # by at most the negative mass of the pair.
+        rng = np.random.default_rng([7, m])
+        z = random_metric_space(rng, m)
+        mus, nus = measure_rows(rng, 64, m), measure_rows(rng, 64, m)[::-1]
+        mus[rng.random(mus.shape) < 0.3] = -1e-17
+        nus[rng.random(nus.shape) < 0.3] = -1e-17
+        negative = -(np.minimum(mus, 0.0) + np.minimum(nus, 0.0)).sum(axis=1)
+        gap = np.abs(lp_distance_batch(z, mus, nus) - scan_all_subsets(z, mus, nus))
+        assert np.all(gap <= negative)
+
+    @pytest.mark.parametrize("m", [2, 5, 8])
+    def test_blocks_bit_equal_to_whole_batch(self, monkeypatch, m):
+        rng = np.random.default_rng([11, m])
+        z = random_metric_space(rng, m)
+        mus, nus = measure_rows(rng, 192, m), measure_rows(rng, 192, m)[::-1]
+        whole = {b: lp_distance_batch(z, mus[:b], nus[:b]) for b in (17, 40, 192)}
+        sizes = []
+        scan = measures._lp_scan
+        monkeypatch.setattr(measures, "_lp_scan", lambda *a: sizes.append(len(a[1])) or scan(*a))
+        monkeypatch.setattr(measures, "LP_CHUNK", 1)
+        for b, value in whole.items():
+            assert np.array_equal(lp_distance_batch(z, mus[:b], nus[:b]), value)
+        assert len(sizes) == 2 + 3 + 12 and 8 <= min(sizes) and max(sizes) <= 16
+
+    def test_192_pairs_on_12_points_are_one_block(self, monkeypatch):
+        sizes = []
+        scan = measures._lp_scan
+        monkeypatch.setattr(measures, "_lp_scan", lambda *a: sizes.append(len(a[1])) or scan(*a))
+        rng = np.random.default_rng(13)
+        z = random_metric_space(rng, 12)
+        lp_distance_batch(z, rng.random((192, 12)), rng.random((192, 12)))
+        assert sizes == [192]
+
+
+def requirement_per_threshold(space, wa, wb, subset):
+    """One subset's requirement, by a loop over every threshold (test-local)."""
+    thresholds = space.thresholds()
+    best = np.inf
+    for r, t in enumerate(thresholds):
+        t_next = thresholds[r + 1] if r + 1 < len(thresholds) else np.inf
+        reach = (space.dist[:, subset] <= t + measures.ABS_TOL).any(axis=1) if subset.any() \
+            else np.zeros(space.size, dtype=bool)
+        req = max(wa[subset].sum() - wb[reach].sum(), wb[subset].sum() - wa[reach].sum(), 0.0)
+        if req <= t_next:
+            best = min(best, max(req, t))
+    return best
+
+
+class TestGreedyBracket:
+    @pytest.mark.parametrize("m", range(2, 27))
+    def test_requirement_bit_equal_to_threshold_loop(self, m):
+        rng = np.random.default_rng([17, m])
+        for z in (DecorationSpace.discrete(range(m)), random_metric_space(rng, m)):
+            wa, wb = rng.random(m), rng.random(m)
+            for i in range(6):
+                subset = rng.random(m) < (rng.random() if i else 0.0)
+                assert measures._single_subset_requirement(z, wa, wb, subset) \
+                    == requirement_per_threshold(z, wa, wb, subset)
+
+    @pytest.mark.parametrize("m, discrete, lower, upper", [
+        (21, False, "0x1.f6d9b130dddd2p-2", "0x1.a507c7a5ce0dfp+2"),
+        (21, True, "0x1.a515b2ef6cf8cp+1", "0x1.a36874ad01fefp+2"),
+        (24, False, "0x1.1fe3284c04368p-1", "0x1.da1cb2ec3da17p+2"),
+        (24, True, "0x1.0000000000000p+0", "0x1.be64bf6db832cp+2"),
+        (30, False, "0x1.2ab87aea63cd2p-1", "0x1.26e47116b6c0dp+3"),
+        (30, True, "0x1.0000000000000p+0", "0x1.46061c5ccdf43p+3"),
+    ])
+    def test_estimate_pinned(self, m, discrete, lower, upper):
+        rng = np.random.default_rng(m)
+        z = DecorationSpace.discrete(range(m)) if discrete else random_metric_space(rng, m)
+        est = lp_distance_estimate(SignedMeasure(z, rng.random(m)), SignedMeasure(z, rng.random(m)))
+        assert not est.exact
+        assert (est.lower, est.upper) == (float.fromhex(lower), float.fromhex(upper))
