@@ -32,11 +32,7 @@ from .kernels import (
     minimal_refinement,
     pair,
     relabel,
-    relabel_cb,
-    relabel_real,
     uniform_refine,
-    uniform_refine_cb,
-    uniform_refine_real,
 )
 from .metrics import (
     DeltaResult,
@@ -52,7 +48,6 @@ from .metrics import (
 )
 from .overlay import (
     OverlapMatrix,
-    OverlayResult,
     f_overlay,
     f_overlay_truncated,
     overlay_graph,

@@ -1,10 +1,12 @@
-"""Measure-valued step kernels, function-valued step kernels and decorated graphs.
+"""Measure-valued, function-valued and real step kernels, and decorated graphs.
 
 A step kernel is constant on the rectangles of a finite partition of [0,1];
 it is stored as a vector of part sizes plus a (P, P, m) array of measure
-weights over the decoration space.  Relabelings of [0,1] are represented by
-permutations of a uniform refinement, and couplings between part-size vectors
-stand in for more general measure-preserving maps.
+weights or function values over the decoration space, or a (P, P) array of
+reals.  Relabelings of [0,1] are represented by permutations of a uniform
+refinement, and one ``uniform_refine`` and one ``relabel`` pull back a kernel
+of any class along them; couplings between part-size vectors stand in for
+more general measure-preserving maps.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Optional, TypeVar
 
 import numpy as np
 
@@ -69,13 +72,12 @@ def _classify(entries: np.ndarray) -> str:
 
 
 @dataclass(frozen=True, eq=False)
-class StepKernel:
-    """Measure-valued step kernel: part sizes plus a (P, P, m) weight array."""
+class _VectorKernel:
+    """Part sizes plus a (P, P, m) array of vectors over a decoration space."""
 
     space: DecorationSpace
     part_sizes: np.ndarray
     entries: np.ndarray
-    kind: str
 
     def __init__(self, space: DecorationSpace, part_sizes, entries):
         lam = _check_part_sizes(part_sizes)
@@ -86,16 +88,46 @@ class StepKernel:
                 f"entries must have shape ({p}, {p}, {space.size}), got {e.shape}"
             )
         if not np.all(np.isfinite(e)):
-            raise ValueError("entry weights must be finite")
+            raise ValueError("entries must be finite")
         e.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "part_sizes", lam)
         object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "kind", _classify(e))
 
     @property
     def n_parts(self) -> int:
         return self.part_sizes.size
+
+    def is_constant(self, tol: float = ABS_TOL) -> bool:
+        first = self.entries[0, 0]
+        return bool(np.abs(self.entries - first).max() <= tol)
+
+    def scale(self, c: float):
+        return type(self)(self.space, self.part_sizes, self.entries * float(c))
+
+    def __add__(self, other):
+        a, b, _ = common_refinement(self, other)
+        return type(self)(a.space, a.part_sizes, a.entries + b.entries)
+
+    @classmethod
+    def constant(cls, space, f, part_sizes=(1.0,)):
+        lam = np.asarray(part_sizes, dtype=float)
+        e = np.broadcast_to(np.asarray(f, dtype=float), (lam.size, lam.size, space.size))
+        return cls(space, lam, np.array(e))
+
+    def _pulled_back(self, part_sizes, index):
+        """New part i carries old part index[i]; ``part_sizes`` are the new sizes."""
+        return type(self)(self.space, part_sizes, self.entries[np.ix_(index, index)])
+
+
+class StepKernel(_VectorKernel):
+    """Measure-valued step kernel: part sizes plus a (P, P, m) weight array."""
+
+    kind: str
+
+    def __init__(self, space: DecorationSpace, part_sizes, entries):
+        super().__init__(space, part_sizes, entries)
+        object.__setattr__(self, "kind", _classify(self.entries))
 
     def entry(self, p: int, q: int) -> SignedMeasure:
         return SignedMeasure(self.space, self.entries[p, q])
@@ -103,17 +135,6 @@ class StepKernel:
     def sup_tv(self) -> float:
         """Largest total variation over the blocks."""
         return float(np.abs(self.entries).sum(axis=2).max())
-
-    def is_constant(self, tol: float = ABS_TOL) -> bool:
-        first = self.entries[0, 0]
-        return bool(np.abs(self.entries - first).max() <= tol)
-
-    def scale(self, c: float) -> "StepKernel":
-        return StepKernel(self.space, self.part_sizes, self.entries * float(c))
-
-    def __add__(self, other: "StepKernel") -> "StepKernel":
-        a, b, _ = common_refinement(self, other)
-        return StepKernel(a.space, a.part_sizes, a.entries + b.entries)
 
     def __sub__(self, other: "StepKernel") -> "StepKernel":
         a, b, _ = common_refinement(self, other)
@@ -129,10 +150,7 @@ class StepKernel:
 
     @classmethod
     def constant(cls, mu: SignedMeasure, part_sizes=(1.0,)) -> "StepKernel":
-        lam = np.asarray(part_sizes, dtype=float)
-        p = lam.size
-        e = np.broadcast_to(mu.weights, (p, p, mu.space.size))
-        return cls(mu.space, lam, np.array(e))
+        return super().constant(mu.space, mu.weights, part_sizes)
 
     @classmethod
     def from_measures(cls, space, part_sizes, measures) -> "StepKernel":
@@ -190,50 +208,15 @@ class RealStepKernel:
         lam = np.asarray(part_sizes, dtype=float)
         return cls(lam, np.full((lam.size, lam.size), float(value)))
 
+    def _pulled_back(self, part_sizes, index):
+        return RealStepKernel(part_sizes, self.values[np.ix_(index, index)])
 
-@dataclass(frozen=True, eq=False)
-class CbStepKernel:
+
+class CbStepKernel(_VectorKernel):
     """Function-valued step kernel: entries are function vectors over the space."""
-
-    space: DecorationSpace
-    part_sizes: np.ndarray
-    entries: np.ndarray  # (P, P, m) function values
-
-    def __init__(self, space, part_sizes, entries):
-        lam = _check_part_sizes(part_sizes)
-        e = np.array(entries, dtype=float)
-        if e.shape != (lam.size, lam.size, space.size):
-            raise ValueError(
-                f"entries must be ({lam.size}, {lam.size}, {space.size}), got {e.shape}"
-            )
-        if not np.all(np.isfinite(e)):
-            raise ValueError("entry function values must be finite")
-        e.setflags(write=False)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "part_sizes", lam)
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def n_parts(self) -> int:
-        return self.part_sizes.size
 
     def sup_norm(self) -> float:
         return float(np.abs(self.entries).max())
-
-    def scale(self, c: float) -> "CbStepKernel":
-        return CbStepKernel(self.space, self.part_sizes, self.entries * float(c))
-
-    def __add__(self, other: "CbStepKernel") -> "CbStepKernel":
-        self.space.require_same(other.space)
-        a, b = _align_cb(self, other)
-        return CbStepKernel(self.space, a.part_sizes, a.entries + b.entries)
-
-    @classmethod
-    def constant(cls, space, f, part_sizes=(1.0,)) -> "CbStepKernel":
-        lam = np.asarray(part_sizes, dtype=float)
-        f = np.asarray(f, dtype=float)
-        e = np.broadcast_to(f, (lam.size, lam.size, space.size))
-        return cls(space, lam, np.array(e))
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,6 +322,12 @@ class Coupling:
         return cls(lam, lam, m)
 
 
+# any step kernel, and any measure- or function-valued one
+_K = TypeVar("_K", StepKernel, CbStepKernel, RealStepKernel)
+_V = TypeVar("_V", bound=_VectorKernel)
+_W = TypeVar("_W", bound=_VectorKernel)
+
+
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -421,22 +410,9 @@ def _refinement_owner(part_sizes, n: int) -> np.ndarray:
     return np.repeat(np.arange(lam.size), counts)
 
 
-def uniform_refine(kernel: StepKernel, n: int) -> StepKernel:
+def uniform_refine(kernel: _K, n: int) -> _K:
     """Re-express the kernel on n equal parts (weakly isomorphic by construction)."""
-    owner = _refinement_owner(kernel.part_sizes, n)
-    e = kernel.entries[np.ix_(owner, owner)]
-    return StepKernel(kernel.space, np.full(n, 1.0 / n), e)
-
-
-def uniform_refine_cb(kernel: CbStepKernel, n: int) -> CbStepKernel:
-    owner = _refinement_owner(kernel.part_sizes, n)
-    e = kernel.entries[np.ix_(owner, owner)]
-    return CbStepKernel(kernel.space, np.full(n, 1.0 / n), e)
-
-
-def uniform_refine_real(kernel: RealStepKernel, n: int) -> RealStepKernel:
-    owner = _refinement_owner(kernel.part_sizes, n)
-    return RealStepKernel(np.full(n, 1.0 / n), kernel.values[np.ix_(owner, owner)])
+    return kernel._pulled_back(np.full(n, 1.0 / n), _refinement_owner(kernel.part_sizes, n))
 
 
 def _equal_parts(part_sizes) -> bool:
@@ -451,27 +427,11 @@ def _check_permutation(perm, n: int) -> np.ndarray:
     return perm
 
 
-def relabel(kernel: StepKernel, perm) -> StepKernel:
+def relabel(kernel: _K, perm) -> _K:
     """Pull back the kernel along a permutation of its equal parts."""
     if not _equal_parts(kernel.part_sizes):
         raise ValueError("relabel requires equal part sizes; call uniform_refine first")
-    perm = _check_permutation(perm, kernel.n_parts)
-    e = kernel.entries[np.ix_(perm, perm)]
-    return StepKernel(kernel.space, kernel.part_sizes, e)
-
-
-def relabel_cb(kernel: CbStepKernel, perm) -> CbStepKernel:
-    if not _equal_parts(kernel.part_sizes):
-        raise ValueError("relabel requires equal part sizes; call uniform_refine first")
-    perm = _check_permutation(perm, kernel.n_parts)
-    return CbStepKernel(kernel.space, kernel.part_sizes, kernel.entries[np.ix_(perm, perm)])
-
-
-def relabel_real(kernel: RealStepKernel, perm) -> RealStepKernel:
-    if not _equal_parts(kernel.part_sizes):
-        raise ValueError("relabel requires equal part sizes; call uniform_refine first")
-    perm = _check_permutation(perm, kernel.n_parts)
-    return RealStepKernel(kernel.part_sizes, kernel.values[np.ix_(perm, perm)])
+    return kernel._pulled_back(kernel.part_sizes, _check_permutation(perm, kernel.n_parts))
 
 
 def pair(measure_kernel: StepKernel, fn_kernel: CbStepKernel) -> RealStepKernel:
@@ -496,8 +456,8 @@ def cb_graph_to_kernel(graph: CbGraph) -> CbStepKernel:
 
 
 def common_refinement(
-    a: StepKernel, b: StepKernel, cap: int = DEFAULT_DENOMINATOR_CAP
-) -> tuple[StepKernel, StepKernel, int]:
+    a: _V, b: _W, cap: int = DEFAULT_DENOMINATOR_CAP
+) -> tuple[_V, _W, int]:
     """Refine both kernels onto the smallest shared uniform grid."""
     a.space.require_same(b.space)
     na = minimal_refinement(a.part_sizes, cap)
@@ -506,18 +466,10 @@ def common_refinement(
     return uniform_refine(a, n), uniform_refine(b, n), n
 
 
-def common_refinement_cb(
-    a: StepKernel, b: CbStepKernel, cap: int = DEFAULT_DENOMINATOR_CAP
-) -> tuple[StepKernel, CbStepKernel, int]:
-    a.space.require_same(b.space)
-    na = minimal_refinement(a.part_sizes, cap)
-    nb = minimal_refinement(b.part_sizes, cap)
-    n = na * nb // gcd(na, nb)
-    return uniform_refine(a, n), uniform_refine_cb(b, n), n
-
-
-def _align_cb(a: CbStepKernel, b: CbStepKernel) -> tuple[CbStepKernel, CbStepKernel]:
-    na = minimal_refinement(a.part_sizes)
-    nb = minimal_refinement(b.part_sizes)
-    n = na * nb // gcd(na, nb)
-    return uniform_refine_cb(a, n), uniform_refine_cb(b, n)
+def _common_grid(a: _V, b: _W, cells: Optional[int] = None) -> tuple[_V, _W, int]:
+    """The common refinement, refined on to ``cells`` equal parts when given:
+    the grid whose relabelings the unlabeled searches range over."""
+    a, b, n = common_refinement(a, b)
+    if cells is None:
+        return a, b, n
+    return uniform_refine(a, cells), uniform_refine(b, cells), cells

@@ -23,13 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import (
-    RealStepKernel,
-    StepKernel,
-    common_refinement,
-    relabel,
-    uniform_refine,
-)
+from .kernels import RealStepKernel, StepKernel, _common_grid, common_refinement, relabel
 from . import measures
 from .measures import TestFamily, _subset_masks, lp_distance_batch
 from .search import (
@@ -358,7 +352,6 @@ def delta_cut(
     metric: str = "lp",
     fam: Optional[TestFamily] = None,
     budget: Optional[SearchBudget] = None,
-    denominator_cap: int = 120,
     cells: Optional[int] = None,
 ) -> DeltaResult:
     """Unlabeled cut distance: minimize the labeled one over relabelings.
@@ -376,9 +369,7 @@ def delta_cut(
     if metric == "f" and fam is None:
         raise ValueError("metric 'f' needs a TestFamily")
     budget = budget or SearchBudget()
-    ur, wr, n = common_refinement(u, w, denominator_cap)
-    if cells is not None:
-        ur, wr, n = uniform_refine(ur, cells), uniform_refine(wr, cells), cells
+    ur, wr, n = _common_grid(u, w, cells)
 
     perm = _find_equality_permutation(ur.entries, wr.entries)
     if perm is not None:
@@ -480,7 +471,6 @@ def delta_2f(
     w: StepKernel,
     fam: TestFamily,
     budget: Optional[SearchBudget] = None,
-    denominator_cap: int = 120,
     cells: Optional[int] = None,
 ) -> DeltaResult:
     """Unlabeled L2-style distance under the inner-product convention.
@@ -490,10 +480,8 @@ def delta_2f(
     norm of each argument.
     """
     budget = budget or SearchBudget()
-    ur, wr, n = common_refinement(u, w, denominator_cap)
-    if cells is not None:
-        ur, wr, n = uniform_refine(ur, cells), uniform_refine(wr, cells), cells
-    interactions = _f_interaction_tensor(ur, wr, fam)
+    ur, wr, n = _common_grid(u, w, cells)
+    interactions = _f_interaction_tensor(ur, wr, fam.values, fam.scale_weights())
     res = qap_optimize(interactions, budget, maximize=True)
     # evaluate the distance directly at the winning permutation; the
     # inner-product expansion would lose half the significand to cancellation
@@ -504,12 +492,14 @@ def delta_2f(
     return DeltaResult(value, res.exact, res.certificate, n)
 
 
-def _f_interaction_tensor(u: StepKernel, w: StepKernel, fam: TestFamily) -> np.ndarray:
+def _f_interaction_tensor(
+    u: StepKernel, w: StepKernel, values: np.ndarray, scale: np.ndarray
+) -> np.ndarray:
     """interactions[a, b, c, d] = weighted-inner-product contribution of
-    matching block (a, b) of u with block (c, d) of w."""
+    matching block (a, b) of u with block (c, d) of w, over the family
+    functions ``values`` with weights ``scale``."""
     n = u.n_parts
-    fu = u.entries @ fam.values.T
-    fw = w.entries @ fam.values.T
-    scale = fam.scale_weights()
+    fu = u.entries @ values.T
+    fw = w.entries @ values.T
     t = np.einsum("abk,cdk,k->abcd", fu, fw, scale, optimize=True)
     return t / float(n * n)

@@ -24,15 +24,20 @@ from .kernels import (
     CbGraph,
     CbStepKernel,
     StepKernel,
-    common_refinement,
-    common_refinement_cb,
+    _common_grid,
     minimal_refinement,
     uniform_refine,
-    uniform_refine_cb,
 )
 from .measures import ABS_TOL, TestFamily
 from .metrics import _f_interaction_tensor, f_inner
-from .search import SearchBudget, argmax_chunks, count_assignments, pair_reduce, qap_optimize
+from .search import (
+    SearchBudget,
+    SearchResult,
+    argmax_chunks,
+    count_assignments,
+    pair_reduce,
+    qap_optimize,
+)
 
 __all__ = [
     "GRID_ORACLE_CAP",
@@ -101,21 +106,6 @@ class OverlapMatrix:
         return cls(np.outer(part_sizes, alpha))
 
 
-@dataclass(frozen=True)
-class OverlayResult:
-    value: float
-    exact: bool
-    certificate: object = None
-
-    def to_jsonable(self) -> dict:
-        cert = self.certificate
-        if isinstance(cert, OverlapMatrix):
-            cert = cert.rho.tolist()
-        elif isinstance(cert, np.ndarray):
-            cert = cert.tolist()
-        return {"value": self.value, "exact": self.exact, "certificate": cert}
-
-
 def _interaction(kernel: StepKernel, graph: CbGraph) -> np.ndarray:
     """c[p, q, i, j] = integral of the (i, j) decoration against block (p, q)."""
     kernel.space.require_same(graph.space)
@@ -154,7 +144,7 @@ def overlay_graph(
     budget: Optional[SearchBudget] = None,
     alpha=None,
     cells: Optional[int] = None,
-) -> OverlayResult:
+) -> SearchResult:
     """Maximal decorated interaction over partitions with prescribed masses.
 
     Tier (a), the grid oracle: refine the kernel to n equal cells compatible
@@ -199,7 +189,7 @@ def overlay_graph(
     return _overlay_graph_ascent(kernel, graph, alpha, budget)
 
 
-def _overlay_graph_grid(kernel, graph, alpha, n) -> OverlayResult:
+def _overlay_graph_grid(kernel, graph, alpha, n) -> SearchResult:
     refined = uniform_refine(kernel, n)
     counts = np.rint(alpha * n).astype(int)
     c_ref = _interaction(refined, graph) / float(n * n)
@@ -214,7 +204,7 @@ def _overlay_graph_grid(kernel, graph, alpha, n) -> OverlayResult:
     )
     rho = np.zeros((kernel.n_parts, graph.n_vertices))
     np.add.at(rho, owner, rho_cells.rho)
-    return OverlayResult(best, True, OverlapMatrix(rho))
+    return SearchResult(best, True, OverlapMatrix(rho))
 
 
 def _two_column_vertex(gradient: np.ndarray, rows: np.ndarray, cols: np.ndarray):
@@ -304,7 +294,7 @@ def _random_interior(rows, cols, rng, iters: int = 200) -> np.ndarray:
     return out
 
 
-def _overlay_graph_ascent(kernel, graph, alpha, budget) -> OverlayResult:
+def _overlay_graph_ascent(kernel, graph, alpha, budget) -> SearchResult:
     c = _interaction(kernel, graph)
     lam = kernel.part_sizes
     form = _planned_form(c)
@@ -355,7 +345,7 @@ def _overlay_graph_ascent(kernel, graph, alpha, budget) -> OverlayResult:
             val = new_val
         if val > best_val:
             best_val, best_rho = val, rho.copy()
-    return OverlayResult(best_val, False, OverlapMatrix(best_rho))
+    return SearchResult(best_val, False, OverlapMatrix(best_rho))
 
 
 def overlay_kernel(
@@ -363,7 +353,7 @@ def overlay_kernel(
     fn_kernel: CbStepKernel,
     budget: Optional[SearchBudget] = None,
     cells: Optional[int] = None,
-) -> OverlayResult:
+) -> SearchResult:
     """Supremum of the pairing over relabelings of the function-valued kernel.
 
     Realized as a quadratic assignment over permutations of a common uniform
@@ -373,19 +363,12 @@ def overlay_kernel(
     enlarging the searched partition class.
     """
     budget = budget or SearchBudget()
-    u, w, n = common_refinement_cb(kernel, fn_kernel)
-    if cells is not None:
-        u, w, n = uniform_refine(u, cells), uniform_refine_cb(w, cells), cells
-    if _cb_is_constant(w) or u.is_constant():
+    u, w, n = _common_grid(kernel, fn_kernel, cells)
+    if w.is_constant() or u.is_constant():
         val = float(np.einsum("abm,abm->", u.entries, w.entries) / (n * n))
-        return OverlayResult(val, True, np.arange(n, dtype=np.intp))
+        return SearchResult(val, True, np.arange(n, dtype=np.intp))
     interactions = np.einsum("abm,cdm->abcd", u.entries, w.entries, optimize=True) / float(n * n)
-    res = qap_optimize(interactions, budget, maximize=True)
-    return OverlayResult(res.value, res.exact, res.certificate)
-
-
-def _cb_is_constant(w: CbStepKernel, tol: float = ABS_TOL) -> bool:
-    return bool(np.abs(w.entries - w.entries[0, 0]).max() <= tol)
+    return qap_optimize(interactions, budget, maximize=True)
 
 
 def f_overlay(
@@ -394,19 +377,15 @@ def f_overlay(
     fam: TestFamily,
     budget: Optional[SearchBudget] = None,
     cells: Optional[int] = None,
-) -> OverlayResult:
+) -> SearchResult:
     """Supremum over relabelings of the weighted family inner product."""
     budget = budget or SearchBudget()
-    ur, wr, n = common_refinement(u, w)
-    if cells is not None:
-        ur, wr, n = uniform_refine(ur, cells), uniform_refine(wr, cells), cells
+    ur, wr, n = _common_grid(u, w, cells)
     ur.space.require_same(fam.space)
     if ur.is_constant() or wr.is_constant():
-        val = f_inner(ur, wr, fam)
-        return OverlayResult(val, True, np.arange(n, dtype=np.intp))
-    interactions = _f_interaction_tensor(ur, wr, fam)
-    res = qap_optimize(interactions, budget, maximize=True)
-    return OverlayResult(res.value, res.exact, res.certificate)
+        return SearchResult(f_inner(ur, wr, fam), True, np.arange(n, dtype=np.intp))
+    interactions = _f_interaction_tensor(ur, wr, fam.values, fam.scale_weights())
+    return qap_optimize(interactions, budget, maximize=True)
 
 
 def f_overlay_truncated(
@@ -415,7 +394,7 @@ def f_overlay_truncated(
     fam: TestFamily,
     n_terms: int,
     budget: Optional[SearchBudget] = None,
-) -> tuple[OverlayResult, float]:
+) -> tuple[SearchResult, float]:
     """Family overlay truncated to indices <= n_terms, with an enclosure bound.
 
     The tail of the geometrically weighted sum is controlled by
@@ -425,7 +404,7 @@ def f_overlay_truncated(
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     budget = budget or SearchBudget()
-    ur, wr, n = common_refinement(u, w)
+    ur, wr, n = _common_grid(u, w)
     ur.space.require_same(fam.space)
     keep = min(n_terms, len(fam) - 1)
     values = fam.values[: keep + 1]
@@ -434,12 +413,9 @@ def f_overlay_truncated(
     bound = q / float(n_terms)
     if ur.is_constant() or wr.is_constant():
         val = _f_inner_raw(ur, wr, values, scale)
-        return OverlayResult(val, True, np.arange(n, dtype=np.intp)), bound
-    fu = ur.entries @ values.T
-    fw = wr.entries @ values.T
-    interactions = np.einsum("abk,cdk,k->abcd", fu, fw, scale, optimize=True) / float(n * n)
-    res = qap_optimize(interactions, budget, maximize=True)
-    return OverlayResult(res.value, res.exact, res.certificate), bound
+        return SearchResult(val, True, np.arange(n, dtype=np.intp)), bound
+    interactions = _f_interaction_tensor(ur, wr, values, scale)
+    return qap_optimize(interactions, budget, maximize=True), bound
 
 
 def _f_inner_raw(u: StepKernel, w: StepKernel, values: np.ndarray, scale: np.ndarray) -> float:

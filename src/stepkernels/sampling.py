@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .kernels import RealStepKernel, StepKernel, uniform_refine_real
+from .kernels import RealStepKernel, StepKernel, relabel, uniform_refine
 from .measures import DecorationSpace
 from .metrics import DeltaResult, cut_norm_real_search, delta_cut
 from .overlay import overlay_graph, f_overlay
@@ -206,7 +206,7 @@ def mixture_delta_n(
         RealStepKernel(np.full(n, 1.0 / n), (sample.labels == i).astype(float))
         for i in range(model.n_components)
     ]
-    refined = [uniform_refine_real(w, n) for w in model.weights]
+    refined = [uniform_refine(w, n) for w in model.weights]
 
     def norm_sum(components):
         total = 0.0
@@ -223,11 +223,7 @@ def mixture_delta_n(
         return DeltaResult(value, exact, np.arange(n, dtype=np.intp), n)
 
     def energy(perm):
-        permuted = [
-            RealStepKernel(h.part_sizes, h.values[np.ix_(perm, perm)]) for h in indicators
-        ]
-        value, _ = norm_sum(list(zip(refined, permuted)))
-        return value
+        return norm_sum([(w, relabel(h, perm)) for w, h in zip(refined, indicators)])[0]
 
     perm, value = anneal_permutation(n, energy, budget, minimize=True)
     return DeltaResult(value, False, perm, n)

@@ -67,7 +67,8 @@ class SearchResult:
     certificate: object = None
 
     def to_jsonable(self) -> dict:
-        cert = self.certificate
+        # an overlay's OverlapMatrix certificate is written as its rho rows
+        cert = getattr(self.certificate, "rho", self.certificate)
         if isinstance(cert, np.ndarray):
             cert = cert.tolist()
         elif isinstance(cert, tuple):

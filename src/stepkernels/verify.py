@@ -22,7 +22,6 @@ from .kernels import (
     cb_graph_to_kernel,
     from_real_graphon,
     relabel,
-    relabel_real,
     uniform_refine,
 )
 from .measures import (
@@ -325,7 +324,7 @@ def delta_real_oracle(w: RealStepKernel, u: RealStepKernel) -> float:
     best = np.inf
     for p in itertools.permutations(range(n)):
         perm = np.array(p, dtype=np.intp)
-        best = min(best, cut_norm_real(w - relabel_real(u, perm)))
+        best = min(best, cut_norm_real(w - relabel(u, perm)))
     return float(best)
 
 

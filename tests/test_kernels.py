@@ -218,6 +218,58 @@ class TestRelabel:
             relabel(k, [1, 0])
 
 
+def _blocks(kernel):
+    return kernel.values if isinstance(kernel, RealStepKernel) else kernel.entries
+
+
+def _refine_copy(kernel, n):
+    """The blocks of the former per-class uniform_refine_cb/_real on n cells."""
+    owner = np.repeat(np.arange(kernel.n_parts), np.rint(kernel.part_sizes * n).astype(int))
+    return _blocks(kernel)[np.ix_(owner, owner)]
+
+
+def _relabel_copy(kernel, perm):
+    """The blocks of the former per-class relabel_cb/_real."""
+    return _blocks(kernel)[np.ix_(perm, perm)]
+
+
+UNEVEN = [1 / 2, 1 / 3, 1 / 6]
+Z3 = DecorationSpace.discrete(range(3))
+KERNEL_CLASSES = {
+    StepKernel: lambda rng, lam: StepKernel(Z3, lam, rng.dirichlet(np.ones(3), (len(lam),) * 2)),
+    CbStepKernel: lambda rng, lam: CbStepKernel(Z3, lam, rng.random((len(lam), len(lam), 3))),
+    RealStepKernel: lambda rng, lam: RealStepKernel(lam, rng.random((len(lam), len(lam)))),
+}
+
+
+class TestEveryKernelClass:
+    @pytest.mark.parametrize("cls", list(KERNEL_CLASSES), ids=lambda c: c.__name__)
+    def test_refine_then_relabel(self, cls):
+        rng = np.random.default_rng(11)
+        k = KERNEL_CLASSES[cls](rng, UNEVEN)
+        r = uniform_refine(k, 12)
+        assert type(r) is cls and r.n_parts == 12
+        assert np.array_equal(_blocks(r), _refine_copy(k, 12))
+        perm = rng.permutation(12)
+        s = relabel(r, perm)
+        assert type(s) is cls
+        assert np.array_equal(s.part_sizes, r.part_sizes)
+        assert np.array_equal(_blocks(s), _relabel_copy(r, perm))
+        with pytest.raises(ValueError, match="equal part sizes"):
+            relabel(k, [2, 0, 1])
+
+    @pytest.mark.parametrize("first", [StepKernel, CbStepKernel], ids=lambda c: c.__name__)
+    def test_common_refinement_with_a_function_valued_kernel(self, first):
+        rng = np.random.default_rng(12)
+        a = KERNEL_CLASSES[first](rng, UNEVEN)
+        b = KERNEL_CLASSES[CbStepKernel](rng, [0.25] * 4)
+        ra, rb, n = common_refinement(a, b)
+        assert n == 12
+        assert type(ra) is first and type(rb) is CbStepKernel
+        assert np.array_equal(ra.entries, _refine_copy(a, 12))
+        assert np.array_equal(rb.entries, _refine_copy(b, 12))
+
+
 class TestPair:
     def test_constant_one_function(self):
         k = from_real_graphon(RUNNING)

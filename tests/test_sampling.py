@@ -148,11 +148,11 @@ class TestMixture:
         assert res.exact
         assert res.value >= 0.0
         # value is the sum of componentwise cut norms at the identity labeling
-        from stepkernels import cut_norm_real, uniform_refine_real
+        from stepkernels import cut_norm_real, uniform_refine
 
         total = 0.0
         for i, w in enumerate(mix.weights):
-            ref = uniform_refine_real(w, 8)
+            ref = uniform_refine(w, 8)
             ind = (s.labels == i).astype(float)
             total += cut_norm_real(RealStepKernel(ref.part_sizes, ref.values - ind))
         assert res.value == pytest.approx(total, abs=1e-12)
