@@ -2,7 +2,6 @@
 
 from .measures import (
     DecorationSpace,
-    LPEstimate,
     SignedMeasure,
     SpaceMismatchError,
     TestFamily,
@@ -35,7 +34,6 @@ from .kernels import (
     uniform_refine,
 )
 from .metrics import (
-    DeltaResult,
     cut_dist_f,
     cut_dist_lp,
     cut_dist_search,

@@ -11,8 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .search import SearchResult
 
 __all__ = [
     "ABS_TOL",
@@ -21,7 +25,6 @@ __all__ = [
     "DecorationSpace",
     "SignedMeasure",
     "TestFamily",
-    "LPEstimate",
     "SpaceMismatchError",
     "dirac",
     "integrate",
@@ -433,34 +436,24 @@ def lp_feasible(mu: SignedMeasure, nu: SignedMeasure, eps: float) -> bool:
     return bool(ok1 and ok2)
 
 
-@dataclass(frozen=True)
-class LPEstimate:
-    """Levy-Prokhorov value or certified bracket, with an exactness flag."""
-
-    lower: float
-    upper: float
-    exact: bool
-
-    @property
-    def value(self) -> float:
-        return self.upper
-
-
-def lp_distance_estimate(mu: SignedMeasure, nu: SignedMeasure) -> LPEstimate:
+def lp_distance_estimate(mu: SignedMeasure, nu: SignedMeasure) -> SearchResult:
     """Exact value when the space is small; otherwise a flagged bracket.
 
-    Beyond the exact cap the upper bound is the total variation distance and
-    the lower bound comes from a greedy single-subset search.
+    The result's ``lower`` and ``upper`` bracket the distance and its value
+    is ``upper``.  Beyond the exact cap the upper bound is the total
+    variation distance and the lower bound comes from a greedy single-subset
+    search.
     """
+    from .search import SearchResult  # search imports this module
+
     mu.space.require_same(nu.space)
     _require_nonnegative(mu, "mu")
     _require_nonnegative(nu, "nu")
     if mu.space.size <= LP_EXACT_MAX_POINTS:
         v = lp_distance(mu, nu)
-        return LPEstimate(lower=v, upper=v, exact=True)
+        return SearchResult(v, True, lower=v, upper=v)
     upper = tv_distance(mu, nu)
-    lower = _lp_greedy_lower(mu, nu)
-    return LPEstimate(lower=lower, upper=upper, exact=False)
+    return SearchResult(upper, False, lower=_lp_greedy_lower(mu, nu), upper=upper)
 
 
 def _single_subset_requirement(space, wa, wb, subset):

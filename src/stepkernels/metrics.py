@@ -18,7 +18,6 @@ beyond, always reporting an exactness flag and the best permutation found.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,6 +31,7 @@ from .search import (
     SearchResult,
     anneal_permutation,
     chunked,
+    flip_search,
     lp_rectangle_max,
     ordered_matmul,
     pair_reduce,
@@ -44,7 +44,6 @@ from .search import (
 __all__ = [
     "CUT_ENUM_MAX_PARTS",
     "CUT_NORM_MAX_PARTS",
-    "DeltaResult",
     "cut_norm_real",
     "cut_norm_real_search",
     "cut_dist_lp",
@@ -62,30 +61,6 @@ __all__ = [
 CUT_ENUM_MAX_PARTS = 12
 CUT_NORM_MAX_PARTS = 24
 _EQUALITY_DFS_NODE_CAP = 200_000
-
-
-@dataclass(frozen=True)
-class DeltaResult:
-    """Outcome of an unlabeled-distance minimization.
-
-    ``permutation`` relabels the second kernel to (approximately) best match
-    the first on the ``refinement``-cell uniform grid.  When ``exact`` is
-    False the value is the best labeled distance found, an upper bound only
-    insofar as the labeled evaluations themselves were exact.
-    """
-
-    value: float
-    exact: bool
-    permutation: np.ndarray
-    refinement: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "value": self.value,
-            "exact": self.exact,
-            "certificate": self.permutation.tolist(),
-            "refinement": self.refinement,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -109,35 +84,25 @@ def cut_norm_real(w: RealStepKernel) -> float:
 
 
 def cut_norm_real_search(w: RealStepKernel, budget: Optional[SearchBudget] = None) -> SearchResult:
-    """Randomized local-search lower bound for kernels with many parts."""
-    p = w.n_parts
-    if p <= CUT_NORM_MAX_PARTS:
+    """Flip-search lower bound over row sets for kernels with many parts.
+
+    For a row set S the best column set keeps the positive, or the negative,
+    column sums ``col``; flipping row i moves them to col -+ row i, so one
+    scan prices every flip.  The certificate is the best row set found.
+    """
+    if w.n_parts <= CUT_NORM_MAX_PARTS:
         return SearchResult(cut_norm_real(w), True, None)
-    budget = budget or SearchBudget()
     weighted = w.values * np.outer(w.part_sizes, w.part_sizes)
-    best, best_s = 0.0, np.zeros(p, dtype=bool)
-    for r in range(budget.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(7, r)))
-        s = rng.random(p) < 0.5
-        val = _cut_norm_given_rows(weighted, s)
-        improved = True
-        while improved:
-            improved = False
-            for i in range(p):
-                s[i] = ~s[i]
-                cand = _cut_norm_given_rows(weighted, s)
-                if cand > val + 1e-15:
-                    val, improved = cand, True
-                else:
-                    s[i] = ~s[i]
-        if val > best:
-            best, best_s = val, s.copy()
-    return SearchResult(best, False, best_s)
 
+    def side(col):
+        return np.maximum(np.clip(col, 0, None).sum(axis=-1), np.clip(-col, 0, None).sum(axis=-1))
 
-def _cut_norm_given_rows(weighted: np.ndarray, s: np.ndarray) -> float:
-    col = weighted[s].sum(axis=0)
-    return float(max(np.clip(col, 0, None).sum(), np.clip(-col, 0, None).sum()))
+    def scan(s):
+        col = weighted[s].sum(axis=0)
+        return float(side(col)), side(col + np.where(s, -1.0, 1.0)[:, None] * weighted)
+
+    value, rows = flip_search(scan, w.n_parts, budget or SearchBudget(), key=7)
+    return SearchResult(value, False, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +318,7 @@ def delta_cut(
     fam: Optional[TestFamily] = None,
     budget: Optional[SearchBudget] = None,
     cells: Optional[int] = None,
-) -> DeltaResult:
+) -> SearchResult:
     """Unlabeled cut distance: minimize the labeled one over relabelings.
 
     The kernels are refined onto a common uniform grid and the labeled cut
@@ -373,22 +338,22 @@ def delta_cut(
 
     perm = _find_equality_permutation(ur.entries, wr.entries)
     if perm is not None:
-        return DeltaResult(0.0, True, perm, n)
+        return SearchResult(0.0, True, perm, refinement=n)
 
     if ur.is_constant() or wr.is_constant():
         # relabeling a constant kernel changes nothing
         res = cut_dist_search(ur, wr, metric, fam, budget)
-        return DeltaResult(res.value, res.exact, np.arange(n, dtype=np.intp), n)
+        return SearchResult(res.value, res.exact, np.arange(n, dtype=np.intp), refinement=n)
 
     if n <= EXACT_PERM_MAX:
         value, perm = _delta_exhaustive(ur, wr, metric, fam)
-        return DeltaResult(value, True, perm, n)
+        return SearchResult(value, True, perm, refinement=n)
 
     def energy(p: np.ndarray) -> float:
         return cut_dist_search(ur, relabel(wr, p), metric, fam, budget).value
 
     perm, value = anneal_permutation(n, energy, budget, minimize=True)
-    return DeltaResult(value, False, perm, n)
+    return SearchResult(value, False, perm, refinement=n)
 
 
 def _delta_exhaustive(u, w, metric, fam):
@@ -454,11 +419,15 @@ def f_inner(u: StepKernel, w: StepKernel, fam: TestFamily) -> float:
     """Geometric-weighted sum of L2 inner products of the family projections."""
     a, b = _aligned(u, w)
     a.space.require_same(fam.space)
-    lam2 = np.outer(a.part_sizes, a.part_sizes)
-    fu = a.entries @ fam.values.T
-    fw = b.entries @ fam.values.T
-    per_k = np.einsum("pq,pqk->k", lam2, fu * fw)
-    return float(per_k @ fam.scale_weights())
+    return _f_inner_sum(a, b, fam.values, fam.scale_weights())
+
+
+def _f_inner_sum(u: StepKernel, w: StepKernel, values: np.ndarray, scale: np.ndarray) -> float:
+    """``f_inner`` of two kernels on one partition, over the family functions
+    ``values`` with weights ``scale``: per-function sums, then the weights."""
+    lam2 = np.outer(u.part_sizes, u.part_sizes)
+    per_k = np.einsum("pq,pqk->k", lam2, (u.entries @ values.T) * (w.entries @ values.T))
+    return float(per_k @ scale)
 
 
 def f_l2_norm(u: StepKernel, fam: TestFamily) -> float:
@@ -472,7 +441,7 @@ def delta_2f(
     fam: TestFamily,
     budget: Optional[SearchBudget] = None,
     cells: Optional[int] = None,
-) -> DeltaResult:
+) -> SearchResult:
     """Unlabeled L2-style distance under the inner-product convention.
 
     Minimizing the distance over permutations is the same search as
@@ -489,7 +458,7 @@ def delta_2f(
         ur.space, ur.part_sizes, ur.entries - relabel(wr, res.certificate).entries
     )
     value = float(np.sqrt(max(f_inner(diff, diff, fam), 0.0)))
-    return DeltaResult(value, res.exact, res.certificate, n)
+    return SearchResult(value, res.exact, res.certificate, refinement=n)
 
 
 def _f_interaction_tensor(

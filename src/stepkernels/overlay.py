@@ -29,7 +29,7 @@ from .kernels import (
     uniform_refine,
 )
 from .measures import ABS_TOL, TestFamily
-from .metrics import _f_interaction_tensor, f_inner
+from .metrics import _f_inner_sum, _f_interaction_tensor, f_inner
 from .search import (
     SearchBudget,
     SearchResult,
@@ -242,22 +242,11 @@ def _transport_lp(gradient: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> n
         if vertex is not None:
             return vertex
     p, k = gradient.shape
-    a_eq = []
-    b_eq = []
-    for i in range(p):
-        row = np.zeros((p, k))
-        row[i, :] = 1.0
-        a_eq.append(row.ravel())
-        b_eq.append(rows[i])
-    for j in range(k):
-        col = np.zeros((p, k))
-        col[:, j] = 1.0
-        a_eq.append(col.ravel())
-        b_eq.append(cols[j])
+    a_eq = np.vstack([np.kron(np.eye(p), np.ones(k)), np.kron(np.ones(p), np.eye(k))])
     res = linprog(
         -gradient.ravel(),
-        A_eq=np.array(a_eq),
-        b_eq=np.array(b_eq),
+        A_eq=a_eq,
+        b_eq=np.concatenate([rows, cols]),
         bounds=[(0, None)] * (p * k),
         method="highs",
     )
@@ -412,14 +401,8 @@ def f_overlay_truncated(
     q = u.sup_tv() * w.sup_tv()
     bound = q / float(n_terms)
     if ur.is_constant() or wr.is_constant():
-        val = _f_inner_raw(ur, wr, values, scale)
+        val = _f_inner_sum(ur, wr, values, scale)
         return SearchResult(val, True, np.arange(n, dtype=np.intp)), bound
     interactions = _f_interaction_tensor(ur, wr, values, scale)
     return qap_optimize(interactions, budget, maximize=True), bound
 
-
-def _f_inner_raw(u: StepKernel, w: StepKernel, values: np.ndarray, scale: np.ndarray) -> float:
-    lam2 = np.outer(u.part_sizes, u.part_sizes)
-    fu = u.entries @ values.T
-    fw = w.entries @ values.T
-    return float(np.einsum("pq,pqk,k->", lam2, fu * fw, scale))

@@ -471,7 +471,12 @@ def _pairwise_dsquare(a: QuotientCloud, b: QuotientCloud) -> np.ndarray:
 
 
 def hausdorff(a: QuotientCloud, b: QuotientCloud, metric: str = "dsquare") -> float:
-    """Two-sided sup-inf distance between finite quotient clouds (exact)."""
+    """Two-sided sup-inf distance between finite quotient clouds.
+
+    Exact between the two finite clouds.  When the clouds are samples or
+    grids of quotient sets (``quotient_cloud``), it is only an estimate of
+    the distance between those sets, not a bound on either side.
+    """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("Hausdorff distance needs non-empty clouds")
     a.space.require_same(b.space)

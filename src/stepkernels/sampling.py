@@ -18,10 +18,10 @@ import numpy as np
 
 from .kernels import RealStepKernel, StepKernel, relabel, uniform_refine
 from .measures import DecorationSpace
-from .metrics import DeltaResult, cut_norm_real_search, delta_cut
+from .metrics import cut_norm_real_search, delta_cut
 from .overlay import overlay_graph, f_overlay
 from .quotients import hausdorff, quotient_cloud
-from .search import SearchBudget, anneal_permutation
+from .search import SearchBudget, SearchResult, anneal_permutation
 
 __all__ = [
     "KernelMixture",
@@ -193,7 +193,7 @@ def mixture_delta_n(
     model: KernelMixture,
     sample: DecoratedSample,
     budget: Optional[SearchBudget] = None,
-) -> DeltaResult:
+) -> SearchResult:
     """Componentwise cut-norm distance between a mixture and a sample.
 
     Minimizes, over relabelings of the sampled vertex blocks, the sum of
@@ -220,13 +220,13 @@ def mixture_delta_n(
     constant = all(np.ptp(w.values) <= 1e-12 for w in model.weights)
     if constant or n <= 1:
         value, exact = norm_sum(list(zip(refined, indicators)))
-        return DeltaResult(value, exact, np.arange(n, dtype=np.intp), n)
+        return SearchResult(value, exact, np.arange(n, dtype=np.intp), refinement=n)
 
     def energy(perm):
         return norm_sum([(w, relabel(h, perm)) for w, h in zip(refined, indicators)])[0]
 
     perm, value = anneal_permutation(n, energy, budget, minimize=True)
-    return DeltaResult(value, False, perm, n)
+    return SearchResult(value, False, perm, refinement=n)
 
 
 def _cell_seed(seed: int, n: int, trial: int) -> int:
@@ -244,7 +244,6 @@ def convergence_run(
     graph=None,
     partner=None,
     quotient_k: int = 2,
-    cloud_cells: int = 6,
     cloud_count: int = 24,
     symmetric: bool = False,
     budget: Optional[SearchBudget] = None,
@@ -257,7 +256,9 @@ def convergence_run(
     ``delta_n`` (componentwise real cut norms, mixtures only), ``overlay``
     (graph overlay against ``graph``), ``foverlay`` (family overlay against
     ``partner``), and ``dhaus`` (cloud Hausdorff distance between quotient
-    skeletons of the empirical kernel and the model).
+    skeletons of the empirical kernel and the model).  A ``dhaus`` row is
+    flagged exact because the distance between its two finite clouds is;
+    as a distance between the quotient sets it is a sampled estimate.
     """
     budget = budget or SearchBudget()
     n_schedule = list(n_schedule)

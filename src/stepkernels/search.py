@@ -5,7 +5,8 @@ Callers supply only the objective.  Chunked enumeration (``chunked``,
 hence exact, up to ``EXACT_PERM_MAX`` parts and in the grid oracles.
 ``flip_search`` climbs by single-coordinate flips of a boolean vector and
 gives a flagged lower bound; ``rectangle_search`` runs it over the rows and
-columns of S x T.  ``rectangle_max`` is the exact rectangle supremum of real
+columns of S x T, and ``metrics.cut_norm_real_search`` over the row sets of
+the real cut norm.  ``rectangle_max`` is the exact rectangle supremum of real
 block functionals, over the 2**P row sets (``subset_sums``), and
 ``lp_rectangle_max`` the Levy-Prokhorov one built on it.
 ``anneal_permutation`` is simulated annealing over permutations (geometric
@@ -62,9 +63,31 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """A searched value, its exactness flag and what attains it.
+
+    ``certificate`` is the witness: the permutation of the ``refinement``-cell
+    uniform grid that relabels the second kernel to (approximately) best
+    match the first, for the unlabeled distances; the row set, or the (S, T)
+    pair, of a rectangle search; the ``OverlapMatrix`` of a graph overlay.
+    ``lower`` and ``upper`` bracket the true value where a bracket is cheap
+    (``lp_distance_estimate``, whose value is its upper end).  When
+    ``exact`` is False, a maximization (cut norms, labeled cut distances,
+    overlays) reports a lower bound; a minimization over relabelings (the
+    unlabeled distances) reports the best labeled distance found, an upper
+    bound only insofar as the labeled evaluations themselves were exact.
+    """
+
     value: float
     exact: bool
     certificate: object = None
+    refinement: Optional[int] = None
+    lower: Optional[float] = None
+    upper: Optional[float] = None
+
+    @property
+    def permutation(self):
+        """The certificate, under the name unlabeled-distance callers read."""
+        return self.certificate
 
     def to_jsonable(self) -> dict:
         # an overlay's OverlapMatrix certificate is written as its rho rows
@@ -73,7 +96,11 @@ class SearchResult:
             cert = cert.tolist()
         elif isinstance(cert, tuple):
             cert = [c.tolist() if isinstance(c, np.ndarray) else c for c in cert]
-        return {"value": self.value, "exact": self.exact, "certificate": cert}
+        out = {"value": self.value, "exact": self.exact, "certificate": cert}
+        for name in ("refinement", "lower", "upper"):
+            if getattr(self, name) is not None:
+                out[name] = getattr(self, name)
+        return out
 
 
 def chunked(rows: Iterable, size: int = 4096) -> Iterator[np.ndarray]:

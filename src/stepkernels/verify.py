@@ -604,7 +604,7 @@ def check_matched_cloud_bound(seed: int, trials: int) -> CheckReport:
         u = random_prob_kernel(rng, space, n)
         w = random_prob_kernel(rng, space, n)
         res = delta_cut(u, w, metric="lp")
-        overlaid = relabel(w, res.permutation)
+        overlaid = relabel(w, res.certificate)
         members_u, members_w = [], []
         for z in itertools.product(range(k), repeat=n):
             z = np.array(z, dtype=np.intp)

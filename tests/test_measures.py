@@ -231,7 +231,7 @@ class TestLPDistance:
     def test_estimate_exact_tier(self):
         z = DecorationSpace.two_point()
         est = lp_distance_estimate(dirac(z, 0), dirac(z, 1))
-        assert est.exact and est.lower == est.upper == 1.0
+        assert est.exact and est.lower == est.value == est.upper == 1.0
 
     def test_estimate_large_space_brackets(self):
         m = 24
@@ -243,7 +243,7 @@ class TestLPDistance:
         nu = SignedMeasure(z, rng.random(m))
         est = lp_distance_estimate(mu, nu)
         assert not est.exact
-        assert 0.0 <= est.lower <= est.upper
+        assert 0.0 <= est.lower <= est.value == est.upper
         with pytest.raises(ValueError, match="capped"):
             lp_distance(mu, nu)
 
@@ -499,4 +499,6 @@ class TestGreedyBracket:
         z = DecorationSpace.discrete(range(m)) if discrete else random_metric_space(rng, m)
         est = lp_distance_estimate(SignedMeasure(z, rng.random(m)), SignedMeasure(z, rng.random(m)))
         assert not est.exact
-        assert (est.lower, est.upper) == (float.fromhex(lower), float.fromhex(upper))
+        assert (est.lower, est.value, est.upper) == (
+            float.fromhex(lower), float.fromhex(upper), float.fromhex(upper)
+        )

@@ -107,14 +107,30 @@ class TestCutNormReal:
         w = RealStepKernel([0.2, 0.3, 0.5], rng.random((3, 3)) - 0.5)
         assert cut_norm_real(w) == pytest.approx(cut_norm_oracle(w), abs=1e-12)
 
-    def test_search_tier_flags(self):
+    # (base parts, cells): a random 26-part kernel, or a uniform refinement
+    # of a random base kernel whose exact norm is known
+    @pytest.mark.parametrize(
+        "base_parts, cells", [(None, 26), (2, 26), (2, 36), (2, 48), (3, 27), (3, 39), (3, 48)]
+    )
+    def test_search_tier_flags(self, base_parts, cells):
         rng = np.random.default_rng(7)
-        p = 26
-        w = RealStepKernel(np.full(p, 1 / p), rng.random((p, p)) - 0.5)
+        if base_parts is None:
+            base = None
+            w = RealStepKernel(np.full(cells, 1 / cells), rng.random((cells, cells)) - 0.5)
+        else:
+            base = RealStepKernel(
+                np.full(base_parts, 1 / base_parts), rng.random((base_parts, base_parts)) - 0.5
+            )
+            w = uniform_refine(base, cells)
         with pytest.raises(ValueError, match="capped"):
             cut_norm_real(w)
         res = cut_norm_real_search(w, SearchBudget(restarts=3, steps=50, seed=0))
-        assert not res.exact and res.value >= 0.0
+        assert not res.exact and res.value > 0.0
+        # the certificate row set replays to the reported value
+        col = (w.values * np.outer(w.part_sizes, w.part_sizes))[res.certificate].sum(axis=0)
+        assert res.value == max(np.clip(col, 0, None).sum(), np.clip(-col, 0, None).sum())
+        if base is not None:
+            assert res.value <= cut_norm_real(base) + 1e-12
 
 
 class TestCutDistances:
@@ -251,7 +267,7 @@ class TestDeltaCut:
         pi = rng.permutation(5)
         res = delta_cut(w, relabel(w, pi), metric="lp")
         assert res.value == 0.0 and res.exact
-        assert relabel(relabel(w, pi), res.permutation).approx_eq(w)
+        assert relabel(relabel(w, pi), res.certificate).approx_eq(w)
 
     def test_constant_kernels(self):
         z = DecorationSpace.two_point()
@@ -272,9 +288,9 @@ class TestDeltaCut:
         assert res.value == pytest.approx(delta_oracle(u, w, metric, fam), abs=1e-12)
         # the certificate achieves the reported value
         labeled = (
-            cut_dist_lp(u, relabel(w, res.permutation))
+            cut_dist_lp(u, relabel(w, res.certificate))
             if metric == "lp"
-            else cut_dist_f(u, relabel(w, res.permutation), fam)
+            else cut_dist_f(u, relabel(w, res.certificate), fam)
         )
         assert labeled == pytest.approx(res.value, abs=1e-12)
 
@@ -314,7 +330,7 @@ class TestDeltaCut:
         res = delta_cut(u, w, metric="lp", budget=budget)
         assert not res.exact
         assert res.value >= 0.0
-        labeled = cut_dist_lp(u, relabel(w, res.permutation))
+        labeled = cut_dist_lp(u, relabel(w, res.certificate))
         assert res.value == pytest.approx(labeled, abs=1e-12)
 
     def test_refinement_weak_isomorphism_all_metrics(self):

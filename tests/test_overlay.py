@@ -384,6 +384,19 @@ class TestTruncation:
         assert res.value == pytest.approx(full, abs=1e-12)
         assert bound == pytest.approx(0.1)
 
+    def test_untruncated_constant_kernel_is_the_overlay(self):
+        # both sum per function, then over the weights, so the bits agree
+        from stepkernels import SignedMeasure
+
+        rng = np.random.default_rng(12)
+        z = DecorationSpace.two_point()
+        fam = TestFamily.default(z)
+        for _ in range(100):
+            u = random_prob_kernel(rng, z, int(rng.integers(1, 7)))
+            w = StepKernel.constant(SignedMeasure(z, rng.dirichlet(np.ones(2))))
+            res, _ = f_overlay_truncated(u, w, fam, len(fam))
+            assert res.exact and res.value == f_overlay(u, w, fam).value
+
     def test_nested_enclosures(self):
         rng = np.random.default_rng(11)
         z = DecorationSpace.discrete(range(3))

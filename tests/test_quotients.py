@@ -420,7 +420,7 @@ class TestHausdorff:
             u = random_prob_kernel(rng, z, 4)
             w = random_prob_kernel(rng, z, 4)
             res = delta_cut(u, w, metric="lp")
-            overlaid = relabel(w, res.permutation)
+            overlaid = relabel(w, res.certificate)
             mu, mw = [], []
             for assignment in itertools.product(range(2), repeat=4):
                 zvec = np.array(assignment)

@@ -209,7 +209,7 @@ class TestLargeFamilies:
                    for p in itertools.permutations(range(5)))
         res = delta_cut(u, w, metric="f", fam=fam)
         assert res.exact and res.value == pytest.approx(want, rel=0, abs=1e-15)
-        assert res.value == cut_dist_f(u, relabel(w, res.permutation), fam)
+        assert res.value == cut_dist_f(u, relabel(w, res.certificate), fam)
 
     def test_twenty_functions_at_twelve_parts_in_seconds(self):
         # 2**20 sign vectors would take minutes; the 4**12 column sets take
@@ -273,8 +273,8 @@ class TestExhaustiveDelta:
         assert res_lp.value == pytest.approx(lp, rel=0, abs=1e-15)
         assert res_f.value == pytest.approx(f, rel=0, abs=1e-15)
         # the reported value is the labeled distance at the certificate, bit for bit
-        assert res_lp.value == cut_dist_lp(u, relabel(w, res_lp.permutation))
-        assert res_f.value == cut_dist_f(u, relabel(w, res_f.permutation), fam)
+        assert res_lp.value == cut_dist_lp(u, relabel(w, res_lp.certificate))
+        assert res_f.value == cut_dist_f(u, relabel(w, res_f.certificate), fam)
 
 
 class TestChunkInvariance:
@@ -289,7 +289,7 @@ class TestChunkInvariance:
         for cells, m in ((6, 2), (6, 3)):
             u, w, fam = uniform_pair(7, cells, m)
             for res in (delta_cut(u, w, metric="lp"), delta_cut(u, w, metric="f", fam=fam)):
-                out += [res.value, res.permutation.tolist()]
+                out += [res.value, res.certificate.tolist()]
         return out
 
     def test_small_chunks_bit_identical(self, monkeypatch):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from stepkernels import (
+    CbGraph,
     DecorationSpace,
     Quotient,
     StepKernel,
@@ -18,10 +19,12 @@ from stepkernels import (
     cut_dist_f,
     cut_dist_lp,
     cut_dist_search,
+    delta_2f,
     delta_cut,
     dsquare_quotient,
     dsquare_quotient_search,
     lp_distance_batch,
+    overlay_graph,
 )
 from stepkernels.search import (
     FLIP_STEPS,
@@ -224,9 +227,9 @@ class TestPinnedOutputs:
         u, w = random_prob_kernel(rng, self.Z, 9), random_prob_kernel(rng, self.Z, 9)
         budget = SearchBudget(restarts=2, steps=2, seed=seed)
         res = delta_cut(u, w, metric="lp", budget=budget)
-        assert (res.value, res.permutation.tolist(), res.exact) == (lp, lp_perm, False)
+        assert (res.value, res.certificate.tolist(), res.exact) == (lp, lp_perm, False)
         res = delta_cut(u, w, metric="f", fam=TestFamily.default(self.Z), budget=budget)
-        assert (res.value, res.permutation.tolist(), res.exact) == (f, f_perm, False)
+        assert (res.value, res.certificate.tolist(), res.exact) == (f, f_perm, False)
 
     @pytest.mark.parametrize("seed, lp, f, s, t", [
         (0, 0.05524996623815359, 0.04143747467861522, "10111110101110", "01111110111110"),
@@ -263,3 +266,26 @@ class TestPinnedOutputs:
         t = rng.random((n, n, n, n))
         res = qap_optimize(t, SearchBudget(restarts=2, steps=400, seed=n))
         assert res.certificate.tolist() == perm
+
+
+class TestSearchResult:
+    Z = DecorationSpace.two_point()
+
+    def test_json_keys(self):
+        # the optional fields are written only when set, so each payload
+        # keeps the keys it had before the result types were merged
+        rng = np.random.default_rng(5)
+        fam = TestFamily.default(self.Z)
+        u, w = random_prob_kernel(rng, self.Z, 3), random_prob_kernel(rng, self.Z, 3)
+        base = {"value", "exact", "certificate"}
+        for res in (delta_cut(u, w), delta_cut(u, w, metric="f", fam=fam), delta_2f(u, w, fam)):
+            assert res.to_jsonable().keys() == base | {"refinement"}
+            assert res.refinement == 3 and res.permutation is res.certificate
+        big = random_prob_kernel(rng, self.Z, 13), random_prob_kernel(rng, self.Z, 13)
+        graph = CbGraph.from_edges(self.Z, 2, [(0, 1, [0.0, 1.0])])
+        for res in (
+            cut_dist_search(u, w),
+            cut_dist_search(*big, budget=SearchBudget(restarts=1)),
+            overlay_graph(u, graph, cells=6),
+        ):
+            assert res.to_jsonable().keys() == base
