@@ -92,21 +92,15 @@ def cmd_dist(args) -> int:
         )
         payload = res.to_jsonable()
     elif args.metric == "delta2f":
-        if fam is None:
-            print("error: --family is required for delta2f", file=sys.stderr)
-            return EXIT_USAGE
         res = delta_2f(a, b, fam, budget=budget, cells=args.cells)
         payload = res.to_jsonable()
-    elif args.metric in ("cutlp", "cutf"):
+    else:
         from .metrics import cut_dist_search
 
         res = cut_dist_search(
             a, b, metric="lp" if args.metric == "cutlp" else "f", fam=fam, budget=budget
         )
         payload = res.to_jsonable()
-    else:
-        print(f"error: unknown metric {args.metric!r}", file=sys.stderr)
-        return EXIT_USAGE
     payload["provenance"] = _provenance(args, "dist", [args.first, args.second] + ([args.family] if args.family else []))
     _emit(args, payload)
     return EXIT_OK
@@ -122,6 +116,9 @@ def cmd_cutnorm(args) -> int:
 
 
 def cmd_overlay(args) -> int:
+    if args.mode == "f" and not args.family:
+        print("error: --family is required for --mode f", file=sys.stderr)
+        return EXIT_USAGE
     registry = _registry(args)
     kernel = _load_kernel(args.kernel, registry)
     budget = _budget_from_args(args)
@@ -135,7 +132,7 @@ def cmd_overlay(args) -> int:
         graph = jsonio.cb_graph_from_json(jsonio.load_document(args.other), registry, where=str(args.other))
         res = overlay_kernel(kernel, cb_graph_to_kernel(graph), budget=budget, cells=args.cells)
         payload = res.to_jsonable()
-    elif args.mode == "f":
+    else:
         other = _load_kernel(args.other, registry)
         fam = _load_family(args.family, registry)
         inputs.append(args.family)
@@ -146,9 +143,6 @@ def cmd_overlay(args) -> int:
         else:
             res = f_overlay(kernel, other, fam, budget=budget, cells=args.cells)
             payload = res.to_jsonable()
-    else:
-        print(f"error: unknown overlay mode {args.mode!r}", file=sys.stderr)
-        return EXIT_USAGE
     payload["provenance"] = _provenance(args, "overlay", inputs)
     _emit(args, payload)
     return EXIT_OK

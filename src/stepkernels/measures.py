@@ -36,17 +36,18 @@ __all__ = [
     "lp_distance_batch",
     "lp_feasible",
     "lp_distance_estimate",
-    "lp_chunk_rows",
+    "subset_sums",
 ]
 
 ABS_TOL = 1e-12
 # 2**m subsets are enumerated when computing the Levy-Prokhorov distance.
 LP_EXACT_MAX_POINTS = 20
 # Entries per chunk of the bulk enumerations, so that their work arrays stay
-# in cache: subset masses (2**m per row) per lp_distance_batch call, and
-# row-set sums per chunk of search.rectangle_max; 2**14 ran faster than 2**16
-# and 2**18 for every chunked Levy-Prokhorov caller.  lp_distance_batch splits
-# a larger call only past 64 times this, to bound its memory.
+# in cache: subset masses (2**m per row) per chunk of member pairs of a
+# Hausdorff comparison, and row-set sums per chunk of search.rectangle_max;
+# 2**14 ran faster than 2**16 and 2**18 for every chunked Levy-Prokhorov
+# caller.  lp_distance_batch splits a call into blocks of at most 64 times
+# this many subset masses a side, only to bound its memory.
 LP_CHUNK = 1 << 14
 
 
@@ -70,6 +71,25 @@ def _subset_masks(m: int) -> np.ndarray:
     masks = masks.astype(bool)
     masks.setflags(write=False)
     return masks
+
+
+def subset_sums(rows: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Sums of every subset of the n entries along ``axis`` of ``rows``.
+
+    That axis becomes one of length 2**n, laid out in place of the old one:
+    entry s adds the entries in the bits of s as a left fold in ascending
+    order, so no sum depends on the other axes or on their sizes.  This is
+    the one way subset masses and rectangle aggregates are formed.
+    """
+    n = rows.shape[axis]
+    shape = list(rows.shape)
+    shape[axis] = 1 << n
+    table = np.empty(shape)
+    rows, sums = rows.swapaxes(axis, 0), table.swapaxes(axis, 0)
+    sums[0] = 0.0
+    for b in range(n):
+        np.add(sums[: 1 << b], rows[b], out=sums[1 << b : 2 << b])
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,11 +365,6 @@ def lp_distance(mu: SignedMeasure, nu: SignedMeasure) -> float:
     mu.space.require_same(nu.space)
     _require_nonnegative(mu, "mu")
     _require_nonnegative(nu, "nu")
-    if mu.space.size > LP_EXACT_MAX_POINTS:
-        raise ValueError(
-            f"exact Levy-Prokhorov distance is capped at {LP_EXACT_MAX_POINTS} "
-            "points; call lp_distance_estimate for flagged bounds"
-        )
     return float(lp_distance_batch(mu.space, mu.weights[None, :], nu.weights[None, :])[0])
 
 
@@ -364,16 +379,21 @@ def lp_distance_batch(space: DecorationSpace, mus: np.ndarray, nus: np.ndarray) 
     Scanning upward, a pair stops at the first r with G_r <= t_(r+1), at
     max(G_r, t_r): later intervals give at least t_(r+1).  Only nonempty
     closed U are scanned, as for nonnegative weights no set beats its
-    closure.  The 2**m subset masses are formed once per block of pairs, in
-    blocks of 8 or more within about 64 * ``LP_CHUNK`` entries a table.
+    closure.  The 2**m subset masses of a pair are one ``subset_sums`` fold,
+    which rounds alike in any batch; a call is split into blocks of pairs
+    only to keep each table within about 64 * ``LP_CHUNK`` entries.
     """
     m = space.size
+    if m > LP_EXACT_MAX_POINTS:
+        raise ValueError(
+            f"exact Levy-Prokhorov distance is capped at {LP_EXACT_MAX_POINTS} "
+            "points; call lp_distance_estimate for flagged bounds"
+        )
     mus = np.asarray(mus, dtype=float)
     nus = np.asarray(nus, dtype=float)
     if mus.ndim != 2 or mus.shape[1] != m or nus.shape != mus.shape:
         raise ValueError("mus and nus must be (B, m) arrays over the space")
-    # blocks of 8 or more rows: 1- and 2-row products round differently
-    rows = max(16, (LP_CHUNK << 6) >> m)
+    rows = max(1, (LP_CHUNK << 6) >> m)
     if len(mus) <= rows:
         return _lp_scan(space, mus, nus)
     blocks = -(-len(mus) // rows)
@@ -383,11 +403,10 @@ def lp_distance_batch(space: DecorationSpace, mus: np.ndarray, nus: np.ndarray) 
 
 def _lp_scan(space: DecorationSpace, mus: np.ndarray, nus: np.ndarray) -> np.ndarray:
     """The threshold scan of ``lp_distance_batch`` on one block of pairs."""
-    masks = _subset_masks(space.size)
     thresholds = space.thresholds()
     # mass of every subset, for every pair still scanned: (2**m, B)
-    mu_sub = masks @ mus.T
-    nu_sub = masks @ nus.T
+    mu_sub = subset_sums(mus.T)
+    nu_sub = subset_sums(nus.T)
     out = np.empty(len(mus))
     todo = np.arange(len(mus))
     for r, t in enumerate(thresholds):
@@ -402,15 +421,6 @@ def _lp_scan(space: DecorationSpace, mus: np.ndarray, nus: np.ndarray) -> np.nda
         if done.any():
             todo, mu_sub, nu_sub = todo[~done], mu_sub[:, ~done], nu_sub[:, ~done]
     return out
-
-
-def lp_chunk_rows(m: int) -> int:
-    """Rows (measure pairs) per bulk ``lp_distance_batch`` call on an m-point space.
-
-    Never fewer than 2: a one-row call takes another BLAS path (a
-    matrix-vector product), whose rounding can differ from a batched call.
-    """
-    return max(2, LP_CHUNK >> m)
 
 
 def lp_feasible(mu: SignedMeasure, nu: SignedMeasure, eps: float) -> bool:

@@ -17,28 +17,26 @@ beyond, always reporting an exactness flag and the best permutation found.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 import numpy as np
 
 from .kernels import RealStepKernel, StepKernel, _common_grid, common_refinement, relabel
 from . import measures
-from .measures import TestFamily, _subset_masks, lp_distance_batch
+from .measures import TestFamily, _subset_masks, lp_distance_batch, subset_sums
 from .search import (
     EXACT_PERM_MAX,
     SearchBudget,
     SearchResult,
     anneal_permutation,
-    chunked,
     flip_search,
     lp_rectangle_max,
     ordered_matmul,
     pair_reduce,
+    permutation_table,
     qap_optimize,
     rectangle_max,
     rectangle_search,
-    subset_sums,
 )
 
 __all__ = [
@@ -391,7 +389,7 @@ def _delta_exhaustive(u, w, metric, fam):
         def values(stack):
             return lp_rectangle_max(u.space, wu[None], stack)
 
-    perms = np.concatenate(list(chunked(itertools.permutations(range(n)))))
+    perms = permutation_table(n)
     bounds = pair_reduce(single, perms, np.maximum)
     order = np.argsort(bounds, kind="stable")
     perms = perms[order]
@@ -451,7 +449,7 @@ def delta_2f(
     budget = budget or SearchBudget()
     ur, wr, n = _common_grid(u, w, cells)
     interactions = _f_interaction_tensor(ur, wr, fam.values, fam.scale_weights())
-    res = qap_optimize(interactions, budget, maximize=True)
+    res = qap_optimize(interactions, budget)
     # evaluate the distance directly at the winning permutation; the
     # inner-product expansion would lose half the significand to cancellation
     diff = StepKernel(

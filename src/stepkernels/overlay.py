@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Optional
 
@@ -128,16 +127,6 @@ def overlay_objective(kernel: StepKernel, graph: CbGraph, overlap: OverlapMatrix
     return _planned_form(_interaction(kernel, graph))(overlap.rho, overlap.rho)
 
 
-def _alpha_denominator(alpha, cap: int = 10_000) -> Optional[int]:
-    d = 1
-    for a in np.asarray(alpha, dtype=float):
-        frac = Fraction(a).limit_denominator(cap)
-        if abs(float(frac) - a) > MARGIN_TOL:
-            return None
-        d = d * frac.denominator // gcd(d, frac.denominator)
-    return d
-
-
 def overlay_graph(
     kernel: StepKernel,
     graph: CbGraph,
@@ -163,8 +152,11 @@ def overlay_graph(
     n = cells
     if n is None:
         base = minimal_refinement(kernel.part_sizes)
-        d = _alpha_denominator(alpha)
-        if d is not None:
+        try:
+            d = minimal_refinement(alpha, cap=10_000)
+        except ValueError:
+            pass  # alpha is not rational on any grid: the ascent tier runs
+        else:
             n = base * d // gcd(base, d)
     grid_ok = (
         n is not None
@@ -357,7 +349,7 @@ def overlay_kernel(
         val = float(np.einsum("abm,abm->", u.entries, w.entries) / (n * n))
         return SearchResult(val, True, np.arange(n, dtype=np.intp))
     interactions = np.einsum("abm,cdm->abcd", u.entries, w.entries, optimize=True) / float(n * n)
-    return qap_optimize(interactions, budget, maximize=True)
+    return qap_optimize(interactions, budget)
 
 
 def f_overlay(
@@ -374,7 +366,7 @@ def f_overlay(
     if ur.is_constant() or wr.is_constant():
         return SearchResult(f_inner(ur, wr, fam), True, np.arange(n, dtype=np.intp))
     interactions = _f_interaction_tensor(ur, wr, fam.values, fam.scale_weights())
-    return qap_optimize(interactions, budget, maximize=True)
+    return qap_optimize(interactions, budget)
 
 
 def f_overlay_truncated(
@@ -404,5 +396,5 @@ def f_overlay_truncated(
         val = _f_inner_sum(ur, wr, values, scale)
         return SearchResult(val, True, np.arange(n, dtype=np.intp)), bound
     interactions = _f_interaction_tensor(ur, wr, values, scale)
-    return qap_optimize(interactions, budget, maximize=True), bound
+    return qap_optimize(interactions, budget), bound
 

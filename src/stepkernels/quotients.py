@@ -16,18 +16,12 @@ from typing import Optional
 import numpy as np
 
 from .kernels import StepKernel, uniform_refine
-from .measures import (
-    DecorationSpace,
-    SignedMeasure,
-    _subset_masks,
-    lp_chunk_rows,
-    lp_distance_batch,
-)
-from .overlay import OverlapMatrix
+from . import measures
+from .measures import DecorationSpace, SignedMeasure, lp_distance_batch, subset_sums
+from .overlay import GRID_ORACLE_CAP, OverlapMatrix
 from .search import (
     SearchBudget,
     SearchResult,
-    chunked,
     count_assignments,
     lp_rectangle_max,
     rectangle_search,
@@ -294,6 +288,14 @@ def _distinct(space, k: int, batches, provenance: dict) -> QuotientCloud:
     )
 
 
+def _every_assignment(n: int, k: int):
+    """The k**n rows of ``itertools.product(range(k), repeat=n)``, in its
+    order, as (<= 4096, n) arrays: row i is i counted in base k."""
+    total, powers = k**n, k ** np.arange(n - 1, -1, -1)
+    for start in range(0, total, 4096):
+        yield np.arange(start, min(start + 4096, total))[:, None] // powers % k
+
+
 def _assigned(kernel: StepKernel, chunks, k: int):
     """Quotient stacks of ``kernel`` by each chunk z of (B, p) assignments,
     row b sending part p wholly to cell z[b, p]."""
@@ -312,19 +314,19 @@ def quotient_cloud(
     count: int = 64,
     seed: int = 0,
     alpha=None,
-    max_enumeration: int = 1_000_000,
 ) -> QuotientCloud:
     """Finite approximation of the k-cell quotient set.
 
     ``enumerate`` mode refines the kernel to ``cells`` equal cells and takes
-    every class assignment (optionally filtered to vertex weights ``alpha``);
+    every class assignment (optionally filtered to vertex weights ``alpha``),
+    at most ``overlay.GRID_ORACLE_CAP`` of them;
     ``sample`` mode takes ``count`` seeded uniform assignments plus every
     partition aligned with the kernel's own parts.  Members are deduplicated
     on rounded (alpha, scaled decorations) keys.
     """
     if mode == "enumerate":
         n = cells if cells is not None else kernel.n_parts
-        if float(k) ** n > max_enumeration:
+        if float(k) ** n > GRID_ORACLE_CAP:
             raise ValueError(
                 f"{k}**{n} assignments exceed the enumeration budget; "
                 "use mode='sample'"
@@ -332,7 +334,7 @@ def quotient_cloud(
         refined = uniform_refine(kernel, n)
         provenance = {"mode": "enumerate", "cells": int(n), "k": int(k)}
         if alpha is None:
-            chunks = chunked(itertools.product(range(k), repeat=n))
+            chunks = _every_assignment(n, k)
         else:
             target = np.asarray(alpha, dtype=float) * n
             if np.abs(target - np.rint(target)).max() > 1e-9:
@@ -346,9 +348,7 @@ def quotient_cloud(
         n = cells if cells is not None else kernel.n_parts
         refined = uniform_refine(kernel, n)
         p = kernel.n_parts
-        aligned = []
-        if float(k) ** p <= 4096:
-            aligned.append(np.array(list(itertools.product(range(k), repeat=p)), dtype=np.intp))
+        aligned = _every_assignment(p, k) if float(k) ** p <= 4096 else []
         # stratify over cell-mass vectors so coverage does not collapse onto
         # balanced partitions as n grows
         draws = []
@@ -433,11 +433,11 @@ def _pairwise_lp(rows_a, rows_b, space, reduce) -> np.ndarray:
     between rows_a[i] and rows_b[j], both (n, r, m) and nonnegative.
 
     Member pairs are gathered in chunks of whole pairs, one
-    ``lp_distance_batch`` call per chunk of about ``lp_chunk_rows(m)`` rows.
+    ``lp_distance_batch`` call per chunk of about ``LP_CHUNK / 2**m`` rows.
     """
     na, r, m = rows_a.shape
     nb = rows_b.shape[0]
-    per_call = max(1, lp_chunk_rows(m) // r)
+    per_call = max(1, (measures.LP_CHUNK >> m) // r)
     out = np.empty(na * nb)
     for start in range(0, na * nb, per_call):
         pairs = np.arange(start, min(start + per_call, na * nb))
@@ -460,13 +460,11 @@ def _pairwise_d1(a: QuotientCloud, b: QuotientCloud) -> np.ndarray:
 
 def _pairwise_dsquare(a: QuotientCloud, b: QuotientCloud) -> np.ndarray:
     m = a.space.size
-    masks = _subset_masks(a.k).astype(float)
     aggs = []
     for cloud in (a, b):
+        # (members, 2**k row sets, 2**k column sets, m) rectangle masses
         s = np.clip(cloud.scaled(), 0, None)
-        agg = np.einsum("si,aijm,tj->astm", masks, s, masks, optimize=True)
-        agg = agg.reshape(len(cloud), -1, m)
-        aggs.append(np.clip(agg, 0, None, out=agg))
+        aggs.append(subset_sums(subset_sums(s, axis=1), axis=2).reshape(len(cloud), -1, m))
     return _alpha_gaps(a, b) + _pairwise_lp(*aggs, a.space, np.max)
 
 

@@ -1,13 +1,13 @@
 """The search loops behind every optimizer in the package.
 
-Callers supply only the objective.  Chunked enumeration (``chunked``,
+Callers supply only the objective.  Enumeration (``permutation_table``,
 ``count_assignments``, ``pair_reduce``, ``argmax_chunks``) is exhaustive,
 hence exact, up to ``EXACT_PERM_MAX`` parts and in the grid oracles.
 ``flip_search`` climbs by single-coordinate flips of a boolean vector and
 gives a flagged lower bound; ``rectangle_search`` runs it over the rows and
 columns of S x T, and ``metrics.cut_norm_real_search`` over the row sets of
 the real cut norm.  ``rectangle_max`` is the exact rectangle supremum of real
-block functionals, over the 2**P row sets (``subset_sums``), and
+block functionals, over the 2**P row sets (``measures.subset_sums``), and
 ``lp_rectangle_max`` the Levy-Prokhorov one built on it.
 ``anneal_permutation`` is simulated annealing over permutations (geometric
 cooling, random-transposition proposals, exponential acceptance).  All
@@ -25,19 +25,20 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from . import measures
+from .measures import subset_sums
 
 __all__ = [
+    "COOLING",
     "EXACT_PERM_MAX",
     "FLIP_STEPS",
     "SearchBudget",
     "SearchResult",
-    "chunked",
+    "permutation_table",
     "count_assignments",
     "pair_reduce",
     "argmax_chunks",
     "flip_search",
     "rectangle_search",
-    "subset_sums",
     "ordered_matmul",
     "rectangle_max",
     "lp_rectangle_max",
@@ -48,6 +49,9 @@ __all__ = [
 
 EXACT_PERM_MAX = 8
 FLIP_STEPS = 64
+# Geometric cooling factor per annealing step; each restart starts at a
+# temperature of a quarter of its initial energy.
+COOLING = 0.995
 
 
 @dataclass(frozen=True)
@@ -57,8 +61,6 @@ class SearchBudget:
     restarts: int = 6
     steps: int = 2000
     seed: int = 0
-    cooling: float = 0.995
-    init_temp: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -103,14 +105,10 @@ class SearchResult:
         return out
 
 
-def chunked(rows: Iterable, size: int = 4096) -> Iterator[np.ndarray]:
-    """The rows of an iterable of integer sequences, as (<= size, n) arrays."""
-    it = iter(rows)
-    while True:
-        block = list(itertools.islice(it, size))
-        if not block:
-            return
-        yield np.array(block, dtype=np.intp)
+def permutation_table(n: int) -> np.ndarray:
+    """Every permutation of range(n), as an (n!, n) array in lexicographic order."""
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    return np.fromiter(flat, dtype=np.intp, count=n * math.factorial(n)).reshape(-1, n)
 
 
 def count_assignments(n: int, counts) -> Iterator[np.ndarray]:
@@ -253,18 +251,6 @@ def rectangle_search(
     return value, None if x is None else (x[:p], x[p:])
 
 
-def subset_sums(rows: np.ndarray) -> np.ndarray:
-    """(2**n, N) sums of every subset of the n rows of an (n, N) array.
-
-    Row s adds the rows in the bits of s as a left fold in ascending row
-    order, so no entry depends on N.
-    """
-    table = np.zeros((1 << rows.shape[0], rows.shape[1]))
-    for b in range(rows.shape[0]):
-        np.add(table[: 1 << b], rows[b], out=table[1 << b : 2 << b])
-    return table
-
-
 def ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for an (..., n) stack and an (n, F) matrix, each entry a left
     fold over n in ascending order.
@@ -319,17 +305,18 @@ def lp_rectangle_max(space, blocks_u: np.ndarray, blocks_w: np.ndarray) -> np.nd
     distance is max(G_r, t_r) at the first r with G_r <= t_(r+1), and the
     supremum over rectangles is the same scan on the rectangle suprema of the
     gaps.  Only closed U can attain a gap.  The masses of every subset are
-    formed once when they fit in 32 * ``measures.LP_CHUNK`` entries a side;
-    otherwise each chunk of closed U forms its own, within 64 * LP_CHUNK gap
-    entries, so large spaces stay in memory.  Both give the same bits.
+    one ``measures.subset_sums`` fold when they fit in 32 *
+    ``measures.LP_CHUNK`` entries a side; otherwise each chunk of closed U
+    forms its own, within 64 * LP_CHUNK gap entries, so large spaces stay in
+    memory.  A product with the 0/1 bits of U is the same left fold, so both
+    give the same bits.
     """
     thresholds = space.thresholds()
     points = np.arange(space.size)[:, None]
     budget = measures.LP_CHUNK << 5
     whole = max(len(blocks_u), len(blocks_w)) * blocks_u[0, ..., 0].size << space.size <= budget
     if whole:
-        every = np.arange(1 << space.size) >> points & 1
-        blocks_u, blocks_w = ordered_matmul(blocks_u, every), ordered_matmul(blocks_w, every)
+        blocks_u, blocks_w = subset_sums(blocks_u, axis=-1), subset_sums(blocks_w, axis=-1)
 
     def mass(blocks, subsets):
         return blocks[..., subsets] if whole else ordered_matmul(blocks, subsets >> points & 1)
@@ -363,25 +350,17 @@ def qap_value(interactions: np.ndarray, perm: np.ndarray) -> float:
     return float(interactions[idx[0], idx[1], perm[:, None], perm[None, :]].sum())
 
 
-def qap_optimize(
-    interactions: np.ndarray,
-    budget: Optional[SearchBudget] = None,
-    maximize: bool = True,
-) -> SearchResult:
-    """Optimize sum_(a,b) interactions[a, b, perm(a), perm(b)] over permutations.
+def qap_optimize(interactions: np.ndarray, budget: Optional[SearchBudget] = None) -> SearchResult:
+    """Maximize sum_(a,b) interactions[a, b, perm(a), perm(b)] over permutations.
 
     Exhaustive (exact) up to EXACT_PERM_MAX; annealed and flagged beyond.
     """
     n = interactions.shape[0]
     if n <= EXACT_PERM_MAX:
-        sign = 1.0 if maximize else -1.0
-        best, perm = argmax_chunks(
-            chunked(itertools.permutations(range(n))),
-            lambda perms: sign * pair_reduce(interactions, perms),
-        )
-        return SearchResult(sign * best, True, perm)
+        best, perm = argmax_chunks([permutation_table(n)], lambda p: pair_reduce(interactions, p))
+        return SearchResult(best, True, perm)
     perm, value = anneal_permutation(
-        n, lambda p: qap_value(interactions, p), budget or SearchBudget(), minimize=not maximize
+        n, lambda p: qap_value(interactions, p), budget or SearchBudget(), minimize=False
     )
     return SearchResult(value, False, perm)
 
@@ -391,7 +370,6 @@ def anneal_permutation(
     energy_fn: Callable[[np.ndarray], float],
     budget: SearchBudget,
     minimize: bool = True,
-    initial: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, float]:
     """Generic annealing over permutations with a black-box energy."""
     sign = -1.0 if minimize else 1.0
@@ -399,12 +377,9 @@ def anneal_permutation(
     best_val = -np.inf
     for r in range(budget.restarts):
         rng = np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(r,)))
-        if initial is not None and r == 0:
-            perm = np.asarray(initial, dtype=np.intp).copy()
-        else:
-            perm = rng.permutation(n)
+        perm = rng.permutation(n)
         energy = sign * energy_fn(perm)
-        temp = budget.init_temp if budget.init_temp is not None else max(abs(energy) * 0.25, 1e-6)
+        temp = max(abs(energy) * 0.25, 1e-6)
         local_val, local_perm = energy, perm.copy()
         for _ in range(budget.steps):
             u, v = rng.choice(n, size=2, replace=False)
@@ -416,7 +391,7 @@ def anneal_permutation(
                 perm, energy = cand, cand_energy
                 if energy > local_val:
                     local_val, local_perm = energy, perm.copy()
-            temp *= budget.cooling
+            temp *= COOLING
         if local_val > best_val:
             best_val, best_perm = local_val, local_perm
     return best_perm, sign * best_val

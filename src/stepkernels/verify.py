@@ -41,7 +41,14 @@ from .metrics import (
     delta_cut,
     f_l2_norm,
 )
-from .overlay import OverlapMatrix, f_overlay, f_overlay_truncated, overlay_graph, overlay_kernel
+from .overlay import (
+    GRID_ORACLE_CAP,
+    OverlapMatrix,
+    f_overlay,
+    f_overlay_truncated,
+    overlay_graph,
+    overlay_kernel,
+)
 from .quotients import (
     Quotient,
     QuotientCloud,
@@ -419,7 +426,7 @@ def _oracle_cells(parts: int, k: int) -> int:
     n = parts
     while n % k or n < 4:
         n += parts
-    while float(k) ** n > 1_000_000:
+    while float(k) ** n > GRID_ORACLE_CAP:
         n -= parts
     return max(n, parts)
 

@@ -45,10 +45,11 @@ class TestDist:
         assert doc["value"] == 0.0 and doc["exact"] is True
         assert "provenance" in doc and len(doc["provenance"]["inputs"]) == 2
 
-    def test_delta_f_needs_family(self, workdir, capsys):
+    @pytest.mark.parametrize("metric", ["delta-f", "delta2f", "cutf"])
+    def test_delta_f_needs_family(self, workdir, capsys, metric):
         code = main([
             "dist", str(workdir / "kernel.json"), str(workdir / "refined.json"),
-            "--metric", "delta-f",
+            "--metric", metric,
         ])
         assert code == 2
         assert "family" in capsys.readouterr().err
@@ -121,6 +122,13 @@ class TestOverlay:
         assert code == 0
         doc = read(out)
         assert doc["enclosure_half_width"] == pytest.approx(0.5)
+
+    def test_f_mode_needs_family(self, workdir, capsys):
+        code = main([
+            "overlay", str(workdir / "kernel.json"), str(workdir / "refined.json"), "--mode", "f",
+        ])
+        assert code == 2
+        assert "error: --family is required" in capsys.readouterr().err
 
 
 class TestQuotientHausdorff:

@@ -30,7 +30,7 @@ from stepkernels import (
     tv_distance,
 )
 from stepkernels import measures
-from stepkernels.measures import LP_EXACT_MAX_POINTS, lp_chunk_rows
+from stepkernels.measures import LP_EXACT_MAX_POINTS
 
 
 def random_metric_space(rng, m):
@@ -353,10 +353,6 @@ class TestFamilyNorm:
 
 
 class TestLPChunk:
-    def test_chunk_rows_at_least_two(self):
-        # one-row calls take a matrix-vector BLAS path with other rounding
-        assert all(lp_chunk_rows(m) >= 2 for m in range(LP_EXACT_MAX_POINTS + 1))
-
     @pytest.mark.parametrize("chunk", [None, 1 << 6])
     @pytest.mark.parametrize("parts, m, value", [
         (8, 2, 0.07770162139975234),
@@ -374,20 +370,30 @@ class TestLPChunk:
         assert cut_dist_lp(u, w) == value
 
 
+def fold_masses(sets, weights):
+    """(S, B) masses of the subsets in the rows of a boolean (S, m) matrix,
+    under each row of (B, m) weights, each a left fold in ascending point
+    order (test-local)."""
+    out = np.zeros((sets.shape[0], weights.shape[0]))
+    for x in range(sets.shape[1]):
+        out[sets[:, x]] += weights[:, x]
+    return out
+
+
 def scan_all_subsets(space, mus, nus):
     """The Levy-Prokhorov scan over every subset and every threshold
     (test-local): per threshold, the masses of all 2**m enlargements come
-    from their own (2**m, m) @ (m, B) products, and each pair keeps the
+    from their own folds over the enlarged sets, and each pair keeps the
     smallest feasible candidate."""
     m = space.size
     masks = measures._subset_masks(m)
     thresholds = space.thresholds()
-    mu_sub, nu_sub = masks @ mus.T, masks @ nus.T
+    mu_sub, nu_sub = fold_masses(masks, mus), fold_masses(masks, nus)
     best = np.full(mus.shape[0], np.inf)
     for r, t in enumerate(thresholds):
         t_next = thresholds[r + 1] if r + 1 < len(thresholds) else np.inf
         reach = masks @ (space.dist <= t + measures.ABS_TOL) > 0
-        gaps = np.maximum(mu_sub - reach @ nus.T, nu_sub - reach @ mus.T)
+        gaps = np.maximum(mu_sub - fold_masses(reach, nus), nu_sub - fold_masses(reach, mus))
         required = np.maximum(gaps.max(axis=0), 0.0)
         best = np.minimum(best, np.where(required <= t_next, np.maximum(required, t), np.inf))
     return best
@@ -449,7 +455,9 @@ class TestLPScan:
         monkeypatch.setattr(measures, "LP_CHUNK", 1)
         for b, value in whole.items():
             assert np.array_equal(lp_distance_batch(z, mus[:b], nus[:b]), value)
-        assert len(sizes) == 2 + 3 + 12 and 8 <= min(sizes) and max(sizes) <= 16
+        # blocks of at most 64 * LP_CHUNK subset masses a side, down to one row
+        rows = max(1, 64 >> m)
+        assert len(sizes) == sum(-(-b // rows) for b in whole) and max(sizes) <= rows
 
     def test_192_pairs_on_12_points_are_one_block(self, monkeypatch):
         sizes = []
@@ -459,6 +467,25 @@ class TestLPScan:
         z = random_metric_space(rng, 12)
         lp_distance_batch(z, rng.random((192, 12)), rng.random((192, 12)))
         assert sizes == [192]
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_rows_bit_equal_to_single_pairs(self, m):
+        rng = np.random.default_rng([19, m])
+        z = random_metric_space(rng, m)
+        for b in (1, 2, 7, 192):
+            mus, nus = measure_rows(rng, b, m), measure_rows(rng, b, m)[::-1]
+            single = [lp_distance(SignedMeasure(z, x), SignedMeasure(z, y)) for x, y in zip(mus, nus)]
+            assert lp_distance_batch(z, mus, nus).tolist() == single
+
+    def test_capped_before_any_table(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("subset masses formed past the point cap")
+
+        monkeypatch.setattr(measures, "subset_sums", unreachable)
+        z = DecorationSpace.discrete(range(LP_EXACT_MAX_POINTS + 1))
+        w = np.full((1, z.size), 1.0 / z.size)
+        with pytest.raises(ValueError, match="capped"):
+            lp_distance_batch(z, w, w)
 
 
 def requirement_per_threshold(space, wa, wb, subset):

@@ -300,6 +300,13 @@ class TestQuotientCloud:
         with pytest.raises(ValueError, match="budget"):
             quotient_cloud(RUNNING_KERNEL, 4, mode="enumerate", cells=12)
 
+    @pytest.mark.parametrize("n, k", [(1, 1), (3, 1), (4, 3), (6, 2), (13, 2)])
+    def test_every_assignment_in_product_order(self, n, k):
+        # (13, 2) has 8192 rows: two blocks of 4096
+        blocks = list(quotients._every_assignment(n, k))
+        assert all(b.shape[0] <= 4096 for b in blocks)
+        assert np.concatenate(blocks).tolist() == [list(z) for z in itertools.product(range(k), repeat=n)]
+
     def test_alpha_filter(self):
         cloud = quotient_cloud(RUNNING_KERNEL, 2, mode="enumerate", cells=4, alpha=[0.5, 0.5])
         for q in cloud.quotients:

@@ -1,4 +1,4 @@
-"""The shared search loops: chunked enumeration, flip search, annealing.
+"""The shared search loops: enumeration, flip search, annealing.
 
 The rectangle search is checked against the exact enumeration tiers where
 both run.  The pinned values at the end fix seeded outputs of the heuristic
@@ -30,10 +30,10 @@ from stepkernels.search import (
     FLIP_STEPS,
     SearchBudget,
     argmax_chunks,
-    chunked,
     count_assignments,
     flip_search,
     pair_reduce,
+    permutation_table,
     qap_optimize,
     qap_value,
     rectangle_search,
@@ -64,12 +64,11 @@ def rectangle_mass(blocks, s, t):
 
 
 class TestEnumeration:
-    def test_chunked_blocks(self):
-        blocks = list(chunked(itertools.permutations(range(4)), 7))
-        assert [b.shape for b in blocks] == [(7, 4)] * 3 + [(3, 4)]
-        assert all(b.dtype == np.intp for b in blocks)
-        assert np.concatenate(blocks).tolist() == [list(p) for p in itertools.permutations(range(4))]
-        assert list(chunked([], 5)) == []
+    @pytest.mark.parametrize("n", [1, 4, 6])
+    def test_permutation_table(self, n):
+        table = permutation_table(n)
+        assert table.dtype == np.intp
+        assert table.tolist() == [list(p) for p in itertools.permutations(range(n))]
 
     @pytest.mark.parametrize(
         "n, counts",
@@ -110,20 +109,19 @@ class TestEnumeration:
             assert got == max(t[a, b, p[a], p[b]] for a in range(5) for b in range(5))
 
     def test_argmax_chunks_first_row_wins(self):
-        rows = [(0,), (3,), (1,), (3,), (2,)]
-        best, row = argmax_chunks(chunked(rows, 2), lambda c: c[:, 0].astype(float))
+        rows = np.array([[0], [3], [1], [3], [2]], dtype=np.intp)
+        best, row = argmax_chunks([rows[:2], rows[2:4], rows[4:]], lambda c: c[:, 0].astype(float))
         assert best == 3.0 and row.tolist() == [3]
-        assert argmax_chunks(iter(()), lambda c: c) == (-np.inf, None)
+        assert argmax_chunks([], lambda c: c) == (-np.inf, None)
 
     def test_exhaustive_qap_matches_brute_force(self):
         rng = np.random.default_rng(1)
         t = rng.normal(size=(5, 5, 5, 5))
         values = {p: qap_value(t, np.array(p)) for p in itertools.permutations(range(5))}
-        for maximize, pick in ((True, max), (False, min)):
-            res = qap_optimize(t, maximize=maximize)
-            assert res.exact
-            assert res.value == pytest.approx(pick(values.values()), abs=1e-12)
-            assert qap_value(t, res.certificate) == pytest.approx(res.value, abs=1e-12)
+        res = qap_optimize(t)
+        assert res.exact
+        assert res.value == pytest.approx(max(values.values()), abs=1e-12)
+        assert qap_value(t, res.certificate) == pytest.approx(res.value, abs=1e-12)
 
 
 class TestFlipSearch:
@@ -205,10 +203,9 @@ class TestAnnealing:
     def test_qap_annealing_reports_value_at_certificate(self):
         rng = np.random.default_rng(409)
         t = rng.random((9, 9, 9, 9))
-        for maximize in (True, False):
-            res = qap_optimize(t, SearchBudget(restarts=2, steps=400, seed=9), maximize=maximize)
-            assert not res.exact
-            assert res.value == qap_value(t, res.certificate)
+        res = qap_optimize(t, SearchBudget(restarts=2, steps=400, seed=9))
+        assert not res.exact
+        assert res.value == qap_value(t, res.certificate)
 
 
 class TestPinnedOutputs:
