@@ -49,6 +49,12 @@ LP_EXACT_MAX_POINTS = 20
 # caller.  lp_distance_batch splits a call into blocks of at most 64 times
 # this many subset masses a side, only to bound its memory.
 LP_CHUNK = 1 << 14
+# glibc maps blocks of 128 KiB or more afresh and returns its heap top once
+# 128 KiB is free there, until a large mapped block is freed; until then each
+# work array of about LP_CHUNK entries faults its pages in again (250 faults
+# per 5-cell delta_cut pair).  Freeing one block twice the largest table
+# (64 * LP_CHUNK entries) lifts the two limits to 16 and 32 MiB.
+np.empty(LP_CHUNK << 7)
 
 
 class SpaceMismatchError(ValueError):

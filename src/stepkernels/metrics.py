@@ -32,7 +32,6 @@ from .search import (
     flip_search,
     lp_rectangle_max,
     ordered_matmul,
-    pair_reduce,
     permutation_table,
     qap_optimize,
     rectangle_max,
@@ -390,7 +389,8 @@ def _delta_exhaustive(u, w, metric, fam):
             return lp_rectangle_max(u.space, wu[None], stack)
 
     perms = permutation_table(n)
-    bounds = pair_reduce(single, perms, np.maximum)
+    cells = np.arange(n)
+    bounds = single[cells[:, None], cells, perms[:, :, None], perms[:, None, :]].max(axis=(1, 2))
     order = np.argsort(bounds, kind="stable")
     perms = perms[order]
     bounds = bounds[order]

@@ -4,9 +4,11 @@ The graph overlay maximizes the total decorated interaction over partitions
 of [0,1] with prescribed cell masses.  For a step kernel the objective
 depends on a partition only through the overlap masses between kernel parts
 and partition cells, so the feasible region is a transportation polytope.
-Two solver tiers: an exhaustive grid oracle on a uniform refinement, and a
-multistart Frank-Wolfe ascent on the overlap matrix (flagged inexact, since
-the quadratic may be indefinite).
+Two solver tiers: an exhaustive grid oracle on a uniform refinement (one
+matrix product per block of cell assignments), and a multistart Frank-Wolfe
+ascent on the overlap matrix (flagged inexact, since the quadratic may be
+indefinite), whose vertex step is a closed-form fractional knapsack against
+two vertices and a HiGHS LP, imported on first use, otherwise.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from math import gcd
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .kernels import (
     CbGraph,
@@ -34,8 +35,8 @@ from .search import (
     SearchResult,
     argmax_chunks,
     count_assignments,
-    pair_reduce,
     qap_optimize,
+    qap_values,
 )
 
 __all__ = [
@@ -50,10 +51,6 @@ __all__ = [
 
 GRID_ORACLE_CAP = 1_000_000
 MARGIN_TOL = 1e-9
-# Gradient gap below which the closed-form two-column vertex defers to HiGHS,
-# whose optimality tolerance is 1e-7: a gap this small may have more than one
-# optimal vertex, and HiGHS decides which.
-VERTEX_GAP_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,10 +96,6 @@ class OverlapMatrix:
         rho = np.zeros((lam.size, k))
         rho[np.arange(lam.size), z] = lam
         return cls(rho)
-
-    @classmethod
-    def product(cls, part_sizes, alpha) -> "OverlapMatrix":
-        return cls(np.outer(part_sizes, alpha))
 
 
 def _interaction(kernel: StepKernel, graph: CbGraph) -> np.ndarray:
@@ -186,26 +179,22 @@ def _overlay_graph_grid(kernel, graph, alpha, n) -> SearchResult:
     counts = np.rint(alpha * n).astype(int)
     c_ref = _interaction(refined, graph) / float(n * n)
     best, best_assignment = argmax_chunks(
-        count_assignments(n, counts), lambda z: pair_reduce(c_ref, z)
+        count_assignments(n, counts), lambda z: qap_values(c_ref, z)
     )
-    rho_cells = OverlapMatrix.from_assignment(refined.part_sizes, best_assignment, graph.n_vertices)
-    # fold cell-level overlaps back onto the original parts
-    owner = np.repeat(
-        np.arange(kernel.n_parts),
-        np.rint(kernel.part_sizes * n).astype(int),
-    )
+    # fold the cells' masses back onto the original parts
+    owner = np.repeat(np.arange(kernel.n_parts), np.rint(kernel.part_sizes * n).astype(int))
     rho = np.zeros((kernel.n_parts, graph.n_vertices))
-    np.add.at(rho, owner, rho_cells.rho)
+    np.add.at(rho, (owner, best_assignment), refined.part_sizes)
     return SearchResult(best, True, OverlapMatrix(rho))
 
 
 def _two_column_vertex(gradient: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """The maximizing vertex of a two-column transportation polytope, or None.
+    """A maximizing vertex of a two-column transportation polytope.
 
     With two columns the problem is a fractional knapsack: rows fill column 0
     in decreasing order of gradient[:, 0] - gradient[:, 1] until it holds
-    cols[0].  None when that order is tied, within ``VERTEX_GAP_TOL``, across
-    the split, so that the optimal vertex may not be unique.
+    cols[0].  Rows tied in that order keep their index order (a stable
+    sort); any order of tied rows gives an optimal vertex.
     """
     gain = gradient[:, 0] - gradient[:, 1]
     order = np.argsort(-gain, kind="stable")
@@ -214,25 +203,23 @@ def _two_column_vertex(gradient: np.ndarray, rows: np.ndarray, cols: np.ndarray)
     # the running sum's rounding must not leave a sliver in the wrong column
     first[first <= ABS_TOL] = 0.0
     np.copyto(first, size, where=(first > 0) & (size - first <= ABS_TOL))
-    # sorted positions 0..used-1 put mass in column 0, free..end in column 1
-    used = int(np.count_nonzero(first))
-    free = used - 1 if used and first[used - 1] < size[used - 1] else used
-    g = gain[order]
-    tol = VERTEX_GAP_TOL * max(1.0, float(np.abs(g).max()))
-    if any(0 < i < g.size and g[i - 1] - g[i] <= tol for i in {free, used}):
-        return None
     vertex = np.empty_like(gradient)
     vertex[order, 0] = first
     vertex[order, 1] = size - first
     return vertex
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call: the import adds about 50 MB."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
+
+
 def _transport_lp(gradient: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Maximize <gradient, v> over the transportation polytope."""
     if cols.size == 2:
-        vertex = _two_column_vertex(gradient, rows, cols)
-        if vertex is not None:
-            return vertex
+        return _two_column_vertex(gradient, rows, cols)
     p, k = gradient.shape
     a_eq = np.vstack([np.kron(np.eye(p), np.ones(k)), np.kron(np.ones(p), np.eye(k))])
     res = linprog(

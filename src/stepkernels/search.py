@@ -1,8 +1,9 @@
 """The search loops behind every optimizer in the package.
 
 Callers supply only the objective.  Enumeration (``permutation_table``,
-``count_assignments``, ``pair_reduce``, ``argmax_chunks``) is exhaustive,
-hence exact, up to ``EXACT_PERM_MAX`` parts and in the grid oracles.
+``count_assignments``, ``argmax_chunks``) is exhaustive, hence exact, up to
+``EXACT_PERM_MAX`` parts and in the grid oracles; ``qap_values`` values a
+block of up to ``BLOCK_ROWS`` assignments with one matrix product.
 ``flip_search`` climbs by single-coordinate flips of a boolean vector and
 gives a flagged lower bound; ``rectangle_search`` runs it over the rows and
 columns of S x T, and ``metrics.cut_norm_real_search`` over the row sets of
@@ -28,6 +29,7 @@ from . import measures
 from .measures import subset_sums
 
 __all__ = [
+    "BLOCK_ROWS",
     "COOLING",
     "EXACT_PERM_MAX",
     "FLIP_STEPS",
@@ -35,7 +37,7 @@ __all__ = [
     "SearchResult",
     "permutation_table",
     "count_assignments",
-    "pair_reduce",
+    "qap_values",
     "argmax_chunks",
     "flip_search",
     "rectangle_search",
@@ -48,6 +50,7 @@ __all__ = [
 ]
 
 EXACT_PERM_MAX = 8
+BLOCK_ROWS = 4096  # rows per enumerated block, and per one-hot matrix
 FLIP_STEPS = 64
 # Geometric cooling factor per annealing step; each restart starts at a
 # temperature of a quarter of its initial energy.
@@ -113,7 +116,7 @@ def permutation_table(n: int) -> np.ndarray:
 
 def count_assignments(n: int, counts) -> Iterator[np.ndarray]:
     """Every length-n class sequence with the given class counts, as
-    (<= 4096, n) arrays in lexicographic order.
+    (<= BLOCK_ROWS, n) arrays in lexicographic order.
 
     Each block of rows grows its prefix tree one position at a time: a
     prefix's children take the classes it has left, in order, and each
@@ -128,8 +131,8 @@ def count_assignments(n: int, counts) -> Iterator[np.ndarray]:
     total = math.factorial(n)
     for c in counts:
         total //= math.factorial(int(c))
-    for start in range(0, total, 4096):
-        stop = min(start + 4096, total)
+    for start in range(0, total, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, total)
         remaining, sizes, first = counts[None, :], np.array([total], dtype=np.int64), 0
         levels = []
         for pos in range(n):
@@ -152,19 +155,20 @@ def count_assignments(n: int, counts) -> Iterator[np.ndarray]:
         yield rows
 
 
-def pair_reduce(table: np.ndarray, rows: np.ndarray, op=np.add) -> np.ndarray:
-    """Reduce table[a, b, rows[:, a], rows[:, b]] over all (a, b), per row.
+def qap_values(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_(a,b) table[a, b, z[a], z[b]] for every row z of ``rows``.
 
-    With ``np.add`` this is the quadratic-assignment value of every row of
-    ``rows`` at once; the reduction starts from zeros.
+    ``table`` is (n, n, k, k) and ``rows`` an (R, n) block of classes in
+    range(k): permutations when k = n.  With x the (R, n * k) one-hot rows
+    and c the table as an (n * k, n * k) matrix, the values are the diagonal
+    of x c x^T, one matrix product per block.
     """
-    n = rows.shape[1]
-    out = np.zeros(rows.shape[0])
-    for a in range(n):
-        ra = rows[:, a]
-        for b in range(n):
-            op(out, table[a, b][ra, rows[:, b]], out=out)
-    return out
+    r, n = rows.shape
+    k = table.shape[2]
+    c = table.transpose(0, 2, 1, 3).reshape(n * k, n * k)
+    x = np.zeros((r, n * k))
+    x[np.arange(r)[:, None], rows + k * np.arange(n)] = 1.0
+    return np.einsum("ij,ij->i", x @ c, x)
 
 
 def argmax_chunks(
@@ -353,12 +357,15 @@ def qap_value(interactions: np.ndarray, perm: np.ndarray) -> float:
 def qap_optimize(interactions: np.ndarray, budget: Optional[SearchBudget] = None) -> SearchResult:
     """Maximize sum_(a,b) interactions[a, b, perm(a), perm(b)] over permutations.
 
-    Exhaustive (exact) up to EXACT_PERM_MAX; annealed and flagged beyond.
+    Exhaustive (exact) up to EXACT_PERM_MAX, in blocks of BLOCK_ROWS; annealed
+    and flagged beyond.  Both tiers report ``qap_value`` at the certificate.
     """
     n = interactions.shape[0]
     if n <= EXACT_PERM_MAX:
-        best, perm = argmax_chunks([permutation_table(n)], lambda p: pair_reduce(interactions, p))
-        return SearchResult(best, True, perm)
+        perms = permutation_table(n)
+        blocks = (perms[i : i + BLOCK_ROWS] for i in range(0, len(perms), BLOCK_ROWS))
+        _, perm = argmax_chunks(blocks, lambda p: qap_values(interactions, p))
+        return SearchResult(qap_value(interactions, perm), True, perm)
     perm, value = anneal_permutation(
         n, lambda p: qap_value(interactions, p), budget or SearchBudget(), minimize=False
     )

@@ -1,10 +1,14 @@
 """Overlay functionals: grid-oracle agreement, algebraic identities, tiers."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import stepkernels
 from stepkernels import (
     CbGraph,
     DecorationSpace,
@@ -104,6 +108,25 @@ class TestOverlayGraph:
             assert res.exact
             assert res.value == pytest.approx(oracle, abs=1e-12)
 
+    @pytest.mark.parametrize("sizes, k, cells", [
+        ([1 / 3, 1 / 3, 1 / 3], 2, 6),
+        ([1 / 6, 1 / 3, 1 / 2], 2, 6),
+        ([1 / 6, 1 / 3, 1 / 2], 3, 6),
+        ([1 / 3, 1 / 3, 1 / 3], 3, 9),
+    ])
+    def test_non_dyadic_grid_against_brute_force(self, sizes, k, cells):
+        rng = np.random.default_rng(25 + cells + k)
+        z = DecorationSpace.discrete(range(3))
+        e = rng.random((3, 3, 3)) + 0.05
+        kernel = StepKernel(z, np.array(sizes), e / e.sum(axis=2, keepdims=True))
+        g = CbGraph(z, rng.random((k, k, 3)))
+        res = overlay_graph(kernel, g, cells=cells)
+        assert res.exact
+        oracle = overlay_assignment_oracle(kernel, g, g.alpha, cells)
+        assert res.value == pytest.approx(oracle, abs=1e-12)
+        res.certificate.check_marginals(kernel.part_sizes, g.alpha)
+        assert overlay_objective(kernel, g, res.certificate) == pytest.approx(res.value, abs=1e-12)
+
     def test_nonuniform_alpha(self):
         rng = np.random.default_rng(22)
         z = DecorationSpace.two_point()
@@ -138,36 +161,46 @@ class TestOverlayGraph:
         assert not res.exact
         assert res.value >= 0.0
 
-    def test_ascent_tier_at_most_grid_value_plus_noise(self):
+    @pytest.mark.parametrize("k, edges, cells", [
+        (2, [(0, 1, [0.0, 1.0])], 8),
+        (3, [(0, 1, [0.0, 1.0]), (1, 2, [0.5, 0.5])], 6),
+    ])
+    def test_ascent_tier_at_most_grid_value_plus_noise(self, k, edges, cells):
         # ascent is a lower-bound tier; on an oracle-solvable instance it
-        # must not exceed the exhaustive optimum
+        # must not exceed the exhaustive optimum (three vertices solve LPs)
         rng = np.random.default_rng(23)
         z = DecorationSpace.two_point()
         kernel = random_prob_kernel(rng, z, 2)
-        g = edge_graph(z)
-        exact = overlay_graph(kernel, g, cells=8)
+        g = CbGraph.from_edges(z, k, edges)
+        exact = overlay_graph(kernel, g, cells=cells)
         from stepkernels.overlay import _overlay_graph_ascent
 
         heur = _overlay_graph_ascent(kernel, g, g.alpha, SearchBudget(seed=3))
         assert not heur.exact
+        heur.certificate.check_marginals(kernel.part_sizes, g.alpha)
         assert heur.value <= exact.value + 1e-9
 
 
-def highs_vertex(gradient, rows, cols, monkeypatch):
-    from stepkernels import overlay
+def highs_vertex(gradient, rows, cols):
+    """The transportation LP solved by HiGHS directly (test-local reference)."""
+    from scipy.optimize import linprog
 
-    with monkeypatch.context() as mp:
-        mp.setattr(overlay, "_two_column_vertex", lambda *args: None)
-        return overlay._transport_lp(gradient, rows, cols)
+    p, k = gradient.shape
+    a_eq = np.vstack([np.kron(np.eye(p), np.ones(k)), np.kron(np.ones(p), np.eye(k))])
+    res = linprog(
+        -gradient.ravel(), A_eq=a_eq, b_eq=np.concatenate([rows, cols]), bounds=(0, None),
+        method="highs",
+    )
+    assert res.success
+    return res.x.reshape(p, k)
 
 
 class TestTransportVertex:
     @pytest.mark.parametrize("equal_parts", [True, False])
-    def test_two_column_vertex_is_optimal(self, equal_parts, monkeypatch):
+    def test_two_column_vertex_is_optimal(self, equal_parts):
         from stepkernels.overlay import _two_column_vertex
 
         rng = np.random.default_rng(7)
-        solved = 0
         for _ in range(200):
             # equal parts on a dyadic grid, as in the empirical kernels of
             # criterion 6; HiGHS rounds other partial masses its own way
@@ -177,33 +210,35 @@ class TestTransportVertex:
             cols = np.array([a, 1.0 - a])
             g = rng.normal(size=(p, 2))
             v = _two_column_vertex(g, rows, cols)
-            if v is None:
-                continue
-            solved += 1
-            ref = highs_vertex(g, rows, cols, monkeypatch)
+            ref = highs_vertex(g, rows, cols)
             assert v.min() >= 0.0
             np.testing.assert_allclose(v.sum(axis=1), rows, atol=1e-12)
             np.testing.assert_allclose(v.sum(axis=0), cols, atol=1e-12)
             np.testing.assert_allclose(v, ref, atol=1e-12)
             if equal_parts:
                 assert np.array_equal(v, ref)
-        assert solved > 150
 
-    def test_tie_at_the_split_defers_to_highs(self):
+    @pytest.mark.parametrize("cols, gain, first", [
+        # rows 1 and 2 tie across the split: two optimal vertices
+        ([0.5, 0.5], [3.0, 1.0, 1.0, 0.0], [0.25, 0.25, 0.0, 0.0]),
+        # the same tie with the tied rows apart: the lower index fills first
+        ([0.5, 0.5], [3.0, 1.0, 0.0, 1.0], [0.25, 0.25, 0.0, 0.0]),
+        ([0.5, 0.5], [1.0, 3.0, 0.0, 1.0], [0.25, 0.25, 0.0, 0.0]),
+        # a partial row tied with a full one
+        ([0.375, 0.625], [1.0, 1.0, 0.0, -1.0], [0.25, 0.125, 0.0, 0.0]),
+        ([0.375, 0.625], [0.0, 1.0, 1.0, -1.0], [0.0, 0.25, 0.125, 0.0]),
+    ])
+    def test_tie_at_the_split_takes_the_stable_order(self, cols, gain, first):
         from stepkernels.overlay import _two_column_vertex
 
         rows = np.full(4, 0.25)
-        cols = np.array([0.5, 0.5])
-        # rows 1 and 2 tie across the split: two optimal vertices
-        g = np.array([[3.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-        assert _two_column_vertex(g, rows, cols) is None
-        # a partial row tied with a full one
-        cols = np.array([0.375, 0.625])
-        g = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
-        assert _two_column_vertex(g, rows, cols) is None
-        g[0, 0] = 2.0
+        cols = np.array(cols)
+        g = np.column_stack([gain, np.zeros(4)])
         v = _two_column_vertex(g, rows, cols)
-        assert np.array_equal(v[:, 0], [0.25, 0.125, 0.0, 0.0])
+        assert v[:, 0].tolist() == first
+        assert v.sum(axis=1).tolist() == rows.tolist()
+        assert v.sum(axis=0).tolist() == cols.tolist()
+        assert (g * v).sum() == pytest.approx((g * highs_vertex(g, rows, cols)).sum(), abs=1e-12)
 
     def test_ascent_matches_highs_on_a_sampled_graph(self, monkeypatch):
         from stepkernels import empirical_kernel, overlay, sample_graph
@@ -215,10 +250,39 @@ class TestTransportVertex:
             emp = empirical_kernel(sample_graph(model, 32, seed))
             fast = overlay._overlay_graph_ascent(emp, g, g.alpha, budget)
             with monkeypatch.context() as mp:
-                mp.setattr(overlay, "_two_column_vertex", lambda *args: None)
+                mp.setattr(overlay, "_transport_lp", highs_vertex)
                 slow = overlay._overlay_graph_ascent(emp, g, g.alpha, budget)
             assert fast.value == slow.value
             assert np.array_equal(fast.certificate.rho, slow.certificate.rho)
+
+IMPORT_WEIGHT = """
+import sys
+import stepkernels, stepkernels.cli
+from stepkernels import (
+    CbGraph, DecorationSpace, RealStepKernel, SearchBudget, StepKernel, empirical_kernel,
+    from_real_graphon, overlay, overlay_graph, sample_graph,
+)
+model = from_real_graphon(RealStepKernel([1.0], [[0.5]]))
+graph = CbGraph.from_edges(model.space, 2, [(0, 1, [0.0, 1.0])])
+assert not overlay_graph(empirical_kernel(sample_graph(model, 32, 3)), graph).exact
+assert "scipy.optimize" not in sys.modules, "a two-vertex overlay imported scipy.optimize"
+z = DecorationSpace.two_point()
+kernel = StepKernel(z, [0.5, 0.5], [[[0.5, 0.5], [0.2, 0.8]], [[0.2, 0.8], [0.9, 0.1]]])
+graph = CbGraph.from_edges(z, 3, [(0, 1, [0.0, 1.0]), (1, 2, [0.5, 0.5])])
+overlay._overlay_graph_ascent(kernel, graph, graph.alpha, SearchBudget(restarts=1))
+assert "scipy.optimize" in sys.modules, "a three-vertex ascent solved no LP"
+assert callable(overlay.linprog)  # the name perfbench counts LP solves by
+"""
+
+
+def test_scipy_optimize_is_imported_only_for_an_lp():
+    # importing scipy.optimize adds about 50 MB of resident memory
+    src = os.path.dirname(os.path.dirname(stepkernels.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", IMPORT_WEIGHT],
+        check=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 class TestOverlayKernel:

@@ -32,10 +32,10 @@ from stepkernels.search import (
     argmax_chunks,
     count_assignments,
     flip_search,
-    pair_reduce,
     permutation_table,
     qap_optimize,
     qap_value,
+    qap_values,
     rectangle_search,
 )
 
@@ -98,15 +98,33 @@ class TestEnumeration:
         assert list(count_assignments(3, [1, 1])) == []
         assert list(count_assignments(2, [3, -1])) == []
 
-    def test_pair_reduce_matches_qap_value(self):
-        rng = np.random.default_rng(0)
-        t = rng.random((5, 5, 5, 5))
-        perms = np.array(list(itertools.permutations(range(5))), dtype=np.intp)
-        sums = pair_reduce(t, perms)
-        assert sums == pytest.approx([qap_value(t, p) for p in perms], abs=1e-12)
-        maxima = pair_reduce(t, perms[:10], np.maximum)
-        for p, got in zip(perms[:10], maxima):
-            assert got == max(t[a, b, p[a], p[b]] for a in range(5) for b in range(5))
+    @pytest.mark.parametrize("n, k, rows", [
+        (5, 5, np.array(list(itertools.permutations(range(5))), dtype=np.intp)),
+        (7, 3, np.concatenate(list(count_assignments(7, [2, 2, 3])))),
+        (6, 1, np.zeros((1, 6), dtype=np.intp)),
+        (6, 2, np.array([[1, 0, 0, 1, 1, 0]], dtype=np.intp)),
+    ])
+    def test_qap_values_match_qap_value(self, n, k, rows):
+        # permutations (k = n), class-count rows (k < n), one class, one row
+        t = np.random.default_rng(n + k).normal(size=(n, n, k, k))
+        values = qap_values(t, rows)
+        assert values.shape == (rows.shape[0],)
+        np.testing.assert_allclose(values, [qap_value(t, z) for z in rows], rtol=0, atol=1e-12)
+
+    def test_exhaustive_qap_blocks_of_4096(self, monkeypatch):
+        from stepkernels import search
+
+        sizes = []
+
+        def recorded(table, rows):
+            sizes.append(rows.shape[0])
+            return qap_values(table, rows)
+
+        monkeypatch.setattr(search, "qap_values", recorded)
+        t = np.random.default_rng(8).random((8, 8, 8, 8))
+        res = qap_optimize(t)
+        assert res.exact and res.value == qap_value(t, res.certificate)
+        assert max(sizes) <= 4096 and sum(sizes) == 40320
 
     def test_argmax_chunks_first_row_wins(self):
         rows = np.array([[0], [3], [1], [3], [2]], dtype=np.intp)
@@ -200,11 +218,13 @@ class TestFlipSearch:
 
 
 class TestAnnealing:
-    def test_qap_annealing_reports_value_at_certificate(self):
-        rng = np.random.default_rng(409)
-        t = rng.random((9, 9, 9, 9))
+    @pytest.mark.parametrize("n", [5, 6, 9])
+    def test_qap_annealing_reports_value_at_certificate(self, n):
+        # 5 and 6 cells are exhaustive, 9 annealed; both tiers replay exactly
+        rng = np.random.default_rng(400 + n)
+        t = rng.random((n, n, n, n))
         res = qap_optimize(t, SearchBudget(restarts=2, steps=400, seed=9))
-        assert not res.exact
+        assert res.exact == (n <= 8)
         assert res.value == qap_value(t, res.certificate)
 
 
