@@ -4,11 +4,12 @@ The graph overlay maximizes the total decorated interaction over partitions
 of [0,1] with prescribed cell masses.  For a step kernel the objective
 depends on a partition only through the overlap masses between kernel parts
 and partition cells, so the feasible region is a transportation polytope.
-Two solver tiers: an exhaustive grid oracle on a uniform refinement (one
-matrix product per block of cell assignments), and a multistart Frank-Wolfe
-ascent on the overlap matrix (flagged inexact, since the quadratic may be
-indefinite), whose vertex step is a closed-form fractional knapsack against
-two vertices and a HiGHS LP, imported on first use, otherwise.
+Two solver tiers: an exhaustive grid oracle on a uniform refinement (each
+half of the cell assignments valued once, then met with the other half),
+and a multistart Frank-Wolfe ascent on the overlap matrix (flagged inexact,
+since the quadratic may be indefinite), whose vertex step is a closed-form
+fractional knapsack against two vertices and a HiGHS LP, imported on first
+use, otherwise.
 """
 
 from __future__ import annotations
@@ -30,14 +31,7 @@ from .kernels import (
 )
 from .measures import ABS_TOL, TestFamily
 from .metrics import _f_inner_sum, _f_interaction_tensor, f_inner
-from .search import (
-    SearchBudget,
-    SearchResult,
-    argmax_chunks,
-    count_assignments,
-    qap_optimize,
-    qap_values,
-)
+from .search import SearchBudget, SearchResult, qap_count_max, qap_optimize
 
 __all__ = [
     "GRID_ORACLE_CAP",
@@ -120,6 +114,16 @@ def overlay_objective(kernel: StepKernel, graph: CbGraph, overlap: OverlapMatrix
     return _planned_form(_interaction(kernel, graph))(overlap.rho, overlap.rho)
 
 
+def _cell_masses(alpha, k: int) -> np.ndarray:
+    """``alpha`` as a float (k,) probability vector; ValueError otherwise."""
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != (k,):
+        raise ValueError(f"alpha must have shape ({k},)")
+    if alpha.min() < 0 or abs(alpha.sum() - 1.0) > MARGIN_TOL:
+        raise ValueError("alpha must be a probability vector")
+    return alpha
+
+
 def overlay_graph(
     kernel: StepKernel,
     graph: CbGraph,
@@ -130,16 +134,14 @@ def overlay_graph(
     """Maximal decorated interaction over partitions with prescribed masses.
 
     Tier (a), the grid oracle: refine the kernel to n equal cells compatible
-    with ``alpha`` and enumerate every cell assignment; exhaustive, hence
-    exact over grid partitions.  Tier (b): multistart Frank-Wolfe ascent on
-    the overlap matrix, flagged inexact.
+    with ``alpha`` and maximize over every cell assignment with
+    ``search.qap_count_max``; exhaustive, hence exact over grid partitions,
+    and of the maximizers the certificate is the lexicographically first
+    assignment.  Tier (b): multistart Frank-Wolfe ascent on the overlap
+    matrix, flagged inexact.
     """
-    alpha = graph.alpha if alpha is None else np.asarray(alpha, dtype=float)
     k = graph.n_vertices
-    if alpha.shape != (k,):
-        raise ValueError(f"alpha must have shape ({k},)")
-    if alpha.min() < 0 or abs(alpha.sum() - 1.0) > MARGIN_TOL:
-        raise ValueError("alpha must be a probability vector")
+    alpha = _cell_masses(graph.alpha if alpha is None else alpha, k)
     budget = budget or SearchBudget()
 
     n = cells
@@ -178,9 +180,7 @@ def _overlay_graph_grid(kernel, graph, alpha, n) -> SearchResult:
     refined = uniform_refine(kernel, n)
     counts = np.rint(alpha * n).astype(int)
     c_ref = _interaction(refined, graph) / float(n * n)
-    best, best_assignment = argmax_chunks(
-        count_assignments(n, counts), lambda z: qap_values(c_ref, z)
-    )
+    best, best_assignment = qap_count_max(c_ref, counts)
     # fold the cells' masses back onto the original parts
     owner = np.repeat(np.arange(kernel.n_parts), np.rint(kernel.part_sizes * n).astype(int))
     rho = np.zeros((kernel.n_parts, graph.n_vertices))

@@ -18,11 +18,12 @@ import numpy as np
 from .kernels import StepKernel, uniform_refine
 from . import measures
 from .measures import DecorationSpace, SignedMeasure, lp_distance_batch, subset_sums
-from .overlay import GRID_ORACLE_CAP, OverlapMatrix
+from .overlay import GRID_ORACLE_CAP, OverlapMatrix, _cell_masses
 from .search import (
     SearchBudget,
     SearchResult,
     count_assignments,
+    every_assignment,
     lp_rectangle_max,
     rectangle_search,
 )
@@ -288,14 +289,6 @@ def _distinct(space, k: int, batches, provenance: dict) -> QuotientCloud:
     )
 
 
-def _every_assignment(n: int, k: int):
-    """The k**n rows of ``itertools.product(range(k), repeat=n)``, in its
-    order, as (<= 4096, n) arrays: row i is i counted in base k."""
-    total, powers = k**n, k ** np.arange(n - 1, -1, -1)
-    for start in range(0, total, 4096):
-        yield np.arange(start, min(start + 4096, total))[:, None] // powers % k
-
-
 def _assigned(kernel: StepKernel, chunks, k: int):
     """Quotient stacks of ``kernel`` by each chunk z of (B, p) assignments,
     row b sending part p wholly to cell z[b, p]."""
@@ -318,8 +311,9 @@ def quotient_cloud(
     """Finite approximation of the k-cell quotient set.
 
     ``enumerate`` mode refines the kernel to ``cells`` equal cells and takes
-    every class assignment (optionally filtered to vertex weights ``alpha``),
-    at most ``overlay.GRID_ORACLE_CAP`` of them;
+    every class assignment (optionally only those of vertex weights
+    ``alpha``, a probability vector of shape (k,)), at most
+    ``overlay.GRID_ORACLE_CAP`` of them;
     ``sample`` mode takes ``count`` seeded uniform assignments plus every
     partition aligned with the kernel's own parts.  Members are deduplicated
     on rounded (alpha, scaled decorations) keys.
@@ -334,13 +328,14 @@ def quotient_cloud(
         refined = uniform_refine(kernel, n)
         provenance = {"mode": "enumerate", "cells": int(n), "k": int(k)}
         if alpha is None:
-            chunks = _every_assignment(n, k)
+            chunks = every_assignment(n, k)
         else:
-            target = np.asarray(alpha, dtype=float) * n
+            alpha = _cell_masses(alpha, k)
+            target = alpha * n
             if np.abs(target - np.rint(target)).max() > 1e-9:
                 raise ValueError("alpha is not realizable on the requested grid")
             chunks = count_assignments(n, np.rint(target).astype(int))
-            provenance["alpha"] = list(np.asarray(alpha, dtype=float))
+            provenance["alpha"] = list(alpha)
         return _distinct(kernel.space, k, _assigned(refined, chunks, k), provenance)
 
     if mode == "sample":
@@ -348,7 +343,7 @@ def quotient_cloud(
         n = cells if cells is not None else kernel.n_parts
         refined = uniform_refine(kernel, n)
         p = kernel.n_parts
-        aligned = _every_assignment(p, k) if float(k) ** p <= 4096 else []
+        aligned = every_assignment(p, k) if float(k) ** p <= 4096 else []
         # stratify over cell-mass vectors so coverage does not collapse onto
         # balanced partitions as n grows
         draws = []

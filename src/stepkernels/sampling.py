@@ -97,9 +97,10 @@ class DecoratedSample:
     """A sampled decorated graph on n vertices.
 
     ``labels[j, k]`` indexes the decoration drawn for the directed edge
-    (j, k).  Diagonal draws exist only to keep the empirical kernel total;
-    the graph itself has no self-loops.  In symmetric mode the lower triangle
-    governs: labels[j, k] == labels[k, j].
+    (j, k), and is stored in the smallest unsigned type that holds every
+    point of the space.  Diagonal draws exist only to keep the empirical
+    kernel total; the graph itself has no self-loops.  In symmetric mode the
+    lower triangle governs: labels[j, k] == labels[k, j].
     """
 
     space: DecorationSpace
@@ -116,6 +117,9 @@ class DecoratedSample:
             raise ValueError("labels must be an (n, n) matrix")
         if symmetric and not np.array_equal(lab, lab.T):
             raise ValueError("symmetric sample must have symmetric labels")
+        if lab.min(initial=0) < 0 or lab.max(initial=0) >= space.size:
+            raise ValueError(f"labels must index the {space.size} decoration points")
+        lab = lab.astype(np.min_scalar_type(space.size - 1))
         x.setflags(write=False)
         lab.setflags(write=False)
         object.__setattr__(self, "space", space)

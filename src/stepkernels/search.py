@@ -1,9 +1,12 @@
 """The search loops behind every optimizer in the package.
 
 Callers supply only the objective.  Enumeration (``permutation_table``,
-``count_assignments``, ``argmax_chunks``) is exhaustive, hence exact, up to
-``EXACT_PERM_MAX`` parts and in the grid oracles; ``qap_values`` values a
-block of up to ``BLOCK_ROWS`` assignments with one matrix product.
+``every_assignment``, ``count_assignments``, ``argmax_chunks``) is
+exhaustive, hence exact, up to ``EXACT_PERM_MAX`` parts and in the grid
+oracles; ``qap_values`` values a block of up to ``BLOCK_ROWS`` assignments
+with one matrix product, and ``qap_count_max`` maximizes over the grid
+assignments of given class counts by meet in the middle, on the two halves
+that ``count_assignments`` also joins.
 ``flip_search`` climbs by single-coordinate flips of a boolean vector and
 gives a flagged lower bound; ``rectangle_search`` runs it over the rows and
 columns of S x T, and ``metrics.cut_norm_real_search`` over the row sets of
@@ -21,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -36,8 +40,10 @@ __all__ = [
     "SearchBudget",
     "SearchResult",
     "permutation_table",
+    "every_assignment",
     "count_assignments",
     "qap_values",
+    "qap_count_max",
     "argmax_chunks",
     "flip_search",
     "rectangle_search",
@@ -114,45 +120,52 @@ def permutation_table(n: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.intp, count=n * math.factorial(n)).reshape(-1, n)
 
 
-def count_assignments(n: int, counts) -> Iterator[np.ndarray]:
-    """Every length-n class sequence with the given class counts, as
-    (<= BLOCK_ROWS, n) arrays in lexicographic order.
+def every_assignment(n: int, k: int) -> Iterator[np.ndarray]:
+    """The k**n rows of ``itertools.product(range(k), repeat=n)``, in its
+    order, as (<= BLOCK_ROWS, n) arrays: row i is i counted in base k."""
+    total, powers = k**n, k ** np.arange(n - 1, -1, -1)
+    for start in range(0, total, BLOCK_ROWS):
+        yield np.arange(start, min(start + BLOCK_ROWS, total))[:, None] // powers % k
 
-    Each block of rows grows its prefix tree one position at a time: a
-    prefix's children take the classes it has left, in order, and each
-    child covers as many rows as the multinomial coefficient of its
-    remaining counts, so only the children whose rows overlap the block are
-    kept.  The rows are then read back from the leaves.  Counts not summing
-    to n give no rows.
+
+@lru_cache(maxsize=64)
+def _halves(n: int, counts: tuple):
+    """Both halves of the length-n class sequences with these counts: ``left``
+    (the first n // 2 positions) in product order, ``right`` stably sorted by
+    class counts, keyed in the mixed radix counts + 1.  Left row i joins
+    right rows lo[i]:hi[i], of the complementary counts; rows that join none
+    are left out, so negative counts or counts not summing to n give none.
+    Oracles repeat their grids, so the read-only arrays are kept per shape.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    if counts.min(initial=0) < 0 or counts.sum() != n:
-        return
-    total = math.factorial(n)
-    for c in counts:
-        total //= math.factorial(int(c))
-    for start in range(0, total, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, total)
-        remaining, sizes, first = counts[None, :], np.array([total], dtype=np.int64), 0
-        levels = []
-        for pos in range(n):
-            parent, c = np.nonzero(remaining > 0)
-            sizes = sizes[parent] * remaining[parent, c] // (n - pos)
-            ends = first + np.cumsum(sizes)
-            lo = int(np.searchsorted(ends, start, side="right"))
-            hi = int(np.searchsorted(ends - sizes, stop))
-            first = int(ends[lo] - sizes[lo])
-            parent, c, sizes = parent[lo:hi], c[lo:hi], sizes[lo:hi]
-            levels.append((parent, c))
-            remaining = remaining[parent]
-            remaining[np.arange(parent.size), c] -= 1
-        rows = np.empty((stop - start, n), dtype=np.intp)
-        node = np.arange(stop - start)
-        for pos in range(n - 1, -1, -1):
-            parent, c = levels[pos]
-            rows[:, pos] = c[node]
-            node = parent[node]
-        yield rows
+    live = np.flatnonzero(counts > 0)  # absent classes are never enumerated
+    k, radix = live.size, np.cumprod(np.concatenate([[1], counts[live] + 1]))
+    halves = []
+    for m in (n // 2, n - n // 2):
+        digits = np.concatenate([*every_assignment(m, k), np.zeros((0, m), np.intp)])
+        have = np.bincount((digits + k * np.arange(len(digits))[:, None]).ravel(),
+                           minlength=len(digits) * k).reshape(len(digits), k)
+        fits = (have <= counts[live]).all(axis=1) & (counts >= 0).all()
+        halves.append((live[digits[fits]], have[fits] @ radix[:-1]))
+    (left, need), (right, key) = halves
+    order = np.argsort(key, kind="stable")
+    lo, hi = (np.searchsorted(key[order], radix[-1] - 1 - need, side=s) for s in ("left", "right"))
+    out = left[hi > lo], right[order], lo[hi > lo], hi[hi > lo]
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def count_assignments(n: int, counts) -> Iterator[np.ndarray]:
+    """Every length-n class sequence with the given class counts, as
+    (<= BLOCK_ROWS, n) arrays in lexicographic order: each left half of
+    ``_halves`` in turn, joined with each of its right halves."""
+    left, right, lo, hi = _halves(n, tuple(counts))
+    ends = np.cumsum(hi - lo)
+    for start in range(0, int(ends[-1:].sum()), BLOCK_ROWS):
+        at = np.arange(start, min(start + BLOCK_ROWS, int(ends[-1])))
+        i = np.searchsorted(ends, at, side="right")
+        yield np.concatenate([left[i], right[hi[i] - ends[i] + at]], axis=1)
 
 
 def qap_values(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -163,12 +176,48 @@ def qap_values(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     and c the table as an (n * k, n * k) matrix, the values are the diagonal
     of x c x^T, one matrix product per block.
     """
-    r, n = rows.shape
-    k = table.shape[2]
-    c = table.transpose(0, 2, 1, 3).reshape(n * k, n * k)
-    x = np.zeros((r, n * k))
-    x[np.arange(r)[:, None], rows + k * np.arange(n)] = 1.0
-    return np.einsum("ij,ij->i", x @ c, x)
+    n, k = table.shape[1:3]
+    x = _one_hot(rows, k)
+    return np.einsum("ij,ij->i", x @ table.transpose(0, 2, 1, 3).reshape(n * k, n * k), x)
+
+
+def _one_hot(rows: np.ndarray, k: int) -> np.ndarray:
+    """The (R, n * k) one-hot form of an (R, n) block of classes in range(k)."""
+    x = np.zeros((rows.shape[0], rows.shape[1] * k))
+    x[np.arange(rows.shape[0])[:, None], rows + k * np.arange(rows.shape[1])] = 1.0
+    return x
+
+
+def qap_count_max(table: np.ndarray, counts) -> tuple[float, Optional[np.ndarray]]:
+    """Largest ``qap_values`` entry over the class sequences with these
+    counts, and the lexicographically first sequence attaining it; no
+    sequence gives (-inf, None).
+
+    Meet in the middle (Horowitz-Sahni): with a one-hot row x = (x_L, x_R)
+    split as in ``_halves`` and the (n k, n k) table c alike, x c x^T = v_L
+    + v_R + x_L M x_R^T, M the sum of the off-diagonal blocks.  Each half is
+    valued once on its diagonal block, and each left count class meets its
+    right rows in one product, whose row-major argmax is first in order.
+    """
+    n, k = table.shape[1:3]
+    left, right, lo, hi = _halves(n, tuple(counts))
+    if len(left) == 0:
+        return -np.inf, None
+    c, s = table.transpose(0, 2, 1, 3).reshape(n * k, n * k), n // 2 * k
+    xl, xr = _one_hot(left, k), _one_hot(right, k)
+    vl, vr = np.einsum("ij,ij->i", xl @ c[:s, :s], xl), np.einsum("ij,ij->i", xr @ c[s:, s:], xr)
+    by_class = np.argsort(lo, kind="stable")  # each class keeps its product order
+    vl, xl = vl[by_class], xl[by_class] @ (c[:s, s:] + c[s:, :s].T)
+    firsts = np.flatnonzero(np.diff(lo[by_class], prepend=-1)).tolist()
+    best, where = -np.inf, None
+    for a, b in zip(firsts, firsts[1:] + [len(left)]):
+        start, stop = lo[by_class[a]], hi[by_class[a]]
+        vals = vl[a:b, None] + vr[start:stop] + xl[a:b] @ xr[start:stop].T
+        i, j = divmod(int(vals.argmax()), stop - start)
+        # a tie across classes goes to the first left half
+        if vals[i, j] > best or (vals[i, j] == best and by_class[a + i] < where[0]):
+            best, where = float(vals[i, j]), (by_class[a + i], start + j)
+    return best, np.concatenate([left[where[0]], right[where[1]]])
 
 
 def argmax_chunks(

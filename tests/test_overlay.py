@@ -18,6 +18,7 @@ from stepkernels import (
     TestFamily,
     cb_graph_to_kernel,
     delta_2f,
+    empirical_kernel,
     f_l2_norm,
     f_overlay,
     f_overlay_truncated,
@@ -26,8 +27,10 @@ from stepkernels import (
     overlay_kernel,
     overlay_objective,
     relabel,
+    sample_graph,
     uniform_refine,
 )
+from stepkernels.sampling import _cell_seed
 from stepkernels.search import SearchBudget
 
 RUNNING_KERNEL = from_real_graphon(RealStepKernel([0.5, 0.5], [[0.2, 0.8], [0.8, 0.2]]))
@@ -108,24 +111,69 @@ class TestOverlayGraph:
             assert res.exact
             assert res.value == pytest.approx(oracle, abs=1e-12)
 
-    @pytest.mark.parametrize("sizes, k, cells", [
-        ([1 / 3, 1 / 3, 1 / 3], 2, 6),
-        ([1 / 6, 1 / 3, 1 / 2], 2, 6),
-        ([1 / 6, 1 / 3, 1 / 2], 3, 6),
-        ([1 / 3, 1 / 3, 1 / 3], 3, 9),
+    @pytest.mark.parametrize("sizes, k, cells, alpha", [
+        ([1 / 3, 1 / 3, 1 / 3], 2, 6, None),
+        ([1 / 6, 1 / 3, 1 / 2], 2, 6, None),
+        ([1 / 6, 1 / 3, 1 / 2], 3, 6, None),
+        ([1 / 3, 1 / 3, 1 / 3], 3, 9, None),
+        # odd n: halves of 4 and 5 cells, and of 3 and 4
+        ([1 / 3, 1 / 3, 1 / 3], 2, 9, [1 / 3, 2 / 3]),
+        ([1 / 7, 2 / 7, 4 / 7], 2, 7, [3 / 7, 4 / 7]),
+        ([1 / 6, 1 / 3, 1 / 2], 1, 6, None),
+        # a class of count 0
+        ([1 / 3, 1 / 3, 1 / 3], 3, 6, [1 / 2, 0.0, 1 / 2]),
+        ([1 / 6, 1 / 3, 1 / 2], 2, 6, [0.0, 1.0]),
     ])
-    def test_non_dyadic_grid_against_brute_force(self, sizes, k, cells):
+    def test_non_dyadic_grid_against_brute_force(self, sizes, k, cells, alpha):
         rng = np.random.default_rng(25 + cells + k)
         z = DecorationSpace.discrete(range(3))
         e = rng.random((3, 3, 3)) + 0.05
         kernel = StepKernel(z, np.array(sizes), e / e.sum(axis=2, keepdims=True))
         g = CbGraph(z, rng.random((k, k, 3)))
-        res = overlay_graph(kernel, g, cells=cells)
+        alpha = g.alpha if alpha is None else np.array(alpha)
+        res = overlay_graph(kernel, g, alpha=alpha, cells=cells)
         assert res.exact
-        oracle = overlay_assignment_oracle(kernel, g, g.alpha, cells)
+        oracle = overlay_assignment_oracle(kernel, g, alpha, cells)
         assert res.value == pytest.approx(oracle, abs=1e-12)
-        res.certificate.check_marginals(kernel.part_sizes, g.alpha)
+        res.certificate.check_marginals(kernel.part_sizes, alpha)
         assert overlay_objective(kernel, g, res.certificate) == pytest.approx(res.value, abs=1e-12)
+
+    def test_ties_go_to_the_first_assignment_in_product_order(self):
+        # dyadic entries sum exactly, and a symmetric two-vertex graph gives
+        # every assignment the value of its complement
+        rng = np.random.default_rng(26)
+        z = DecorationSpace.two_point()
+        e = rng.integers(0, 9, size=(8, 8, 1)) / 8.0
+        kernel = StepKernel(z, np.full(8, 1 / 8), np.concatenate([e, 1.0 - e], axis=2))
+        g = CbGraph.from_edges(z, 2, [(0, 1, [0.25, 0.75]), (0, 0, [0.5, 0.0]), (1, 1, [0.5, 0.0])])
+        assert np.array_equal(g.beta, g.beta[::-1, ::-1])
+        values = {}
+        for a in itertools.product(range(2), repeat=8):
+            if sum(a) == 4:
+                o = OverlapMatrix.from_assignment(kernel.part_sizes, a, 2)
+                values[a] = overlay_objective(kernel, g, o)
+        best = max(values.values())
+        first = next(a for a, v in values.items() if v == best)
+        assert values[tuple(1 - np.array(first))] == best
+        res = overlay_graph(kernel, g, cells=8)
+        assert res.value == best
+        want = OverlapMatrix.from_assignment(kernel.part_sizes, first, 2)
+        assert np.array_equal(res.certificate.rho, want.rho)
+
+    @pytest.mark.parametrize("trial, value, cells", [
+        (0, 0.2890625, "0101011111010000"),
+        (1, 0.3203125, "0100001111110001"),
+        (2, 0.31640625, "0010011011001011"),
+        (3, 0.32421875, "0100100001111110"),
+    ])
+    def test_pinned_criterion_6_overlays_at_16_cells(self, trial, value, cells):
+        # the n = 16 overlay cells of run_theorem_experiment(seed=7), bit for bit
+        model = from_real_graphon(RealStepKernel([1.0], [[0.5]]))
+        emp = empirical_kernel(sample_graph(model, 16, _cell_seed(7, 16, trial)))
+        res = overlay_graph(emp, edge_graph(model.space))
+        assert res.exact and res.value == value
+        want = OverlapMatrix.from_assignment(emp.part_sizes, [int(c) for c in cells], 2)
+        assert np.array_equal(res.certificate.rho, want.rho)
 
     def test_nonuniform_alpha(self):
         rng = np.random.default_rng(22)

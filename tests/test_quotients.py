@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from stepkernels import measures, quotients
+from stepkernels import measures, quotients, search
 from stepkernels import (
     DecorationSpace,
     OverlapMatrix,
@@ -303,7 +303,7 @@ class TestQuotientCloud:
     @pytest.mark.parametrize("n, k", [(1, 1), (3, 1), (4, 3), (6, 2), (13, 2)])
     def test_every_assignment_in_product_order(self, n, k):
         # (13, 2) has 8192 rows: two blocks of 4096
-        blocks = list(quotients._every_assignment(n, k))
+        blocks = list(search.every_assignment(n, k))
         assert all(b.shape[0] <= 4096 for b in blocks)
         assert np.concatenate(blocks).tolist() == [list(z) for z in itertools.product(range(k), repeat=n)]
 
@@ -311,6 +311,16 @@ class TestQuotientCloud:
         cloud = quotient_cloud(RUNNING_KERNEL, 2, mode="enumerate", cells=4, alpha=[0.5, 0.5])
         for q in cloud.quotients:
             assert np.allclose(q.alpha, [0.5, 0.5])
+
+    @pytest.mark.parametrize("alpha, match", [
+        ([1.0], "shape"),
+        ([0.25, 0.25, 0.5], "shape"),
+        ([0.5, 0.75], "probability vector"),
+        ([-0.25, 1.25], "probability vector"),
+    ])
+    def test_alpha_filter_must_be_a_probability_vector(self, alpha, match):
+        with pytest.raises(ValueError, match=match):
+            quotient_cloud(RUNNING_KERNEL, 2, mode="enumerate", cells=4, alpha=alpha)
 
     @pytest.mark.parametrize("k, alpha", [(2, [1 / 3, 2 / 3]), (3, [0.5, 0.0, 0.5]), (1, [1.0])])
     def test_alpha_filter_keeps_the_full_enumeration_order(self, k, alpha):

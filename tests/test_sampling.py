@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from stepkernels import (
+    DecoratedSample,
     DecorationSpace,
     KernelMixture,
     RealStepKernel,
@@ -74,6 +75,22 @@ class TestSampleGraph:
             hits += int(s.labels[0, 1] == 1) - p01
         rate = hits / trials
         assert abs(rate) <= 4 * np.sqrt(0.25 / trials)
+
+    @pytest.mark.parametrize("bad", [-1, 2, 3])
+    def test_labels_must_index_the_space(self, bad):
+        # -1 would index the last point from the end; 2 and 3 index no point
+        z = DecorationSpace.two_point()
+        labels = np.array([[0, bad], [1, 0]])
+        with pytest.raises(ValueError, match="index the 2 decoration points"):
+            DecoratedSample(z, [0.1, 0.7], labels, seed=0, symmetric=False)
+
+    @pytest.mark.parametrize("points, dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_labels_stored_compact(self, points, dtype):
+        z = DecorationSpace.discrete(range(points))
+        labels = np.array([[0, points - 1], [points - 1, 1]])
+        s = DecoratedSample(z, [0.1, 0.7], labels, seed=0, symmetric=True)
+        assert s.labels.dtype == dtype and s.labels.tolist() == labels.tolist()
+        assert sample_graph(HALF, 5, seed=2).labels.dtype == np.uint8
 
 
 class TestEmpiricalKernel:

@@ -33,6 +33,7 @@ from stepkernels.search import (
     count_assignments,
     flip_search,
     permutation_table,
+    qap_count_max,
     qap_optimize,
     qap_value,
     qap_values,
@@ -72,7 +73,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize(
         "n, counts",
-        [(4, [4]), (5, [2, 0, 3]), (6, [0, 6, 0]), (7, [2, 2, 3]), (8, [3, 0, 5]), (14, [7, 7])],
+        [(0, []), (0, [0, 0]), (1, [0, 1]), (4, [4]), (5, [2, 0, 3]), (6, [0, 6, 0]),
+         (7, [2, 2, 3]), (8, [3, 0, 5]), (9, [2, 3, 0, 4]), (14, [7, 7])],
     )
     def test_count_assignments_match_filtered_product(self, n, counts):
         want = [
@@ -125,6 +127,18 @@ class TestEnumeration:
         res = qap_optimize(t)
         assert res.exact and res.value == qap_value(t, res.certificate)
         assert max(sizes) <= 4096 and sum(sizes) == 40320
+
+    @pytest.mark.parametrize("n, counts", [
+        (1, [1]), (6, [3, 3]), (7, [3, 4]), (9, [2, 3, 4]), (8, [0, 5, 3]), (10, [2, 2, 3, 3]),
+    ])
+    def test_qap_count_max_matches_every_block(self, n, counts):
+        t = np.random.default_rng(n).normal(size=(n, n, len(counts), len(counts)))
+        best, row = qap_count_max(t, counts)
+        want, want_row = argmax_chunks(count_assignments(n, counts), lambda z: qap_values(t, z))
+        assert row.dtype == np.intp and row.tolist() == want_row.tolist()
+        assert best == pytest.approx(want, abs=1e-12)
+        assert best == pytest.approx(qap_value(t, row), abs=1e-12)
+        assert qap_count_max(t, [n + 1] + [0] * (len(counts) - 1)) == (-np.inf, None)
 
     def test_argmax_chunks_first_row_wins(self):
         rows = np.array([[0], [3], [1], [3], [2]], dtype=np.intp)
