@@ -19,7 +19,6 @@ from .measures import (
 from .kernels import (
     CbGraph,
     CbStepKernel,
-    Coupling,
     RealStepKernel,
     StepKernel,
     aggregate_measure,

@@ -5,8 +5,7 @@ it is stored as a vector of part sizes plus a (P, P, m) array of measure
 weights or function values over the decoration space, or a (P, P) array of
 reals.  Relabelings of [0,1] are represented by permutations of a uniform
 refinement, and one ``uniform_refine`` and one ``relabel`` pull back a kernel
-of any class along them; couplings between part-size vectors stand in for
-more general measure-preserving maps.
+of any class along them.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "RealStepKernel",
     "CbStepKernel",
     "CbGraph",
-    "Coupling",
     "from_real_graphon",
     "apply_function",
     "block_integral",
@@ -277,51 +275,6 @@ class CbGraph:
         return cls(space, b, alpha)
 
 
-@dataclass(frozen=True, eq=False)
-class Coupling:
-    """Nonnegative matrix with prescribed row and column sums.
-
-    Finite stand-in for a measure-preserving correspondence between two part
-    structures.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    matrix: np.ndarray
-
-    def __init__(self, rows, cols, matrix):
-        r = np.asarray(rows, dtype=float)
-        c = np.asarray(cols, dtype=float)
-        m = np.array(matrix, dtype=float)
-        if m.shape != (r.size, c.size):
-            raise ValueError(f"matrix must be ({r.size}, {c.size}), got {m.shape}")
-        if m.min() < -ABS_TOL:
-            raise ValueError("coupling entries must be nonnegative")
-        if np.abs(m.sum(axis=1) - r).max() > PART_TOL:
-            raise ValueError("row sums do not match the first part-size vector")
-        if np.abs(m.sum(axis=0) - c).max() > PART_TOL:
-            raise ValueError("column sums do not match the second part-size vector")
-        m.setflags(write=False)
-        object.__setattr__(self, "rows", r)
-        object.__setattr__(self, "cols", c)
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def product(cls, rows, cols) -> "Coupling":
-        r = np.asarray(rows, dtype=float)
-        c = np.asarray(cols, dtype=float)
-        return cls(r, c, np.outer(r, c))
-
-    @classmethod
-    def from_permutation(cls, perm) -> "Coupling":
-        perm = np.asarray(perm, dtype=int)
-        n = perm.size
-        m = np.zeros((n, n))
-        m[np.arange(n), perm] = 1.0 / n
-        lam = np.full(n, 1.0 / n)
-        return cls(lam, lam, m)
-
-
 # any step kernel, and any measure- or function-valued one
 _K = TypeVar("_K", StepKernel, CbStepKernel, RealStepKernel)
 _V = TypeVar("_V", bound=_VectorKernel)
@@ -411,7 +364,12 @@ def _refinement_owner(part_sizes, n: int) -> np.ndarray:
 
 
 def uniform_refine(kernel: _K, n: int) -> _K:
-    """Re-express the kernel on n equal parts (weakly isomorphic by construction)."""
+    """Re-express the kernel on n equal parts (weakly isomorphic by construction).
+
+    A kernel already on n equal parts is returned as it is.
+    """
+    if np.array_equal(kernel.part_sizes, np.full(n, 1.0 / n)):
+        return kernel
     return kernel._pulled_back(np.full(n, 1.0 / n), _refinement_owner(kernel.part_sizes, n))
 
 

@@ -259,10 +259,6 @@ def dirac(space: DecorationSpace, point) -> SignedMeasure:
     return SignedMeasure(space, w)
 
 
-def zero_measure(space: DecorationSpace) -> SignedMeasure:
-    return SignedMeasure(space, np.zeros(space.size))
-
-
 @dataclass(frozen=True, eq=False)
 class TestFamily:
     """An ordered family f_0..f_K of [0,1]-valued functions with f_0 == 1.
@@ -325,11 +321,6 @@ def integrate(mu: SignedMeasure, f) -> float:
             f"{mu.space.size}-point space"
         )
     return float(mu.weights @ f)
-
-
-def integrate_family(mu: SignedMeasure, fam: TestFamily) -> np.ndarray:
-    mu.space.require_same(fam.space)
-    return fam.values @ mu.weights
 
 
 def hahn_jordan(mu: SignedMeasure) -> tuple[SignedMeasure, SignedMeasure]:

@@ -29,10 +29,10 @@ from .search import (
     SearchBudget,
     SearchResult,
     anneal_permutation,
+    count_assignments,
     flip_search,
     lp_rectangle_max,
     ordered_matmul,
-    permutation_table,
     qap_optimize,
     rectangle_max,
     rectangle_search,
@@ -388,7 +388,7 @@ def _delta_exhaustive(u, w, metric, fam):
         def values(stack):
             return lp_rectangle_max(u.space, wu[None], stack)
 
-    perms = permutation_table(n)
+    perms = np.concatenate(list(count_assignments(n, (1,) * n)))
     cells = np.arange(n)
     bounds = single[cells[:, None], cells, perms[:, :, None], perms[:, None, :]].max(axis=(1, 2))
     order = np.argsort(bounds, kind="stable")

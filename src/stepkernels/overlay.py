@@ -95,7 +95,7 @@ class OverlapMatrix:
 def _interaction(kernel: StepKernel, graph: CbGraph) -> np.ndarray:
     """c[p, q, i, j] = integral of the (i, j) decoration against block (p, q)."""
     kernel.space.require_same(graph.space)
-    return np.einsum("pqm,ijm->pqij", kernel.entries, graph.beta, optimize=True)
+    return np.tensordot(kernel.entries, graph.beta, axes=([2], [2]))
 
 
 def _planned_form(c: np.ndarray):

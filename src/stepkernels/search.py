@@ -1,12 +1,12 @@
 """The search loops behind every optimizer in the package.
 
-Callers supply only the objective.  Enumeration (``permutation_table``,
-``every_assignment``, ``count_assignments``, ``argmax_chunks``) is
-exhaustive, hence exact, up to ``EXACT_PERM_MAX`` parts and in the grid
-oracles; ``qap_values`` values a block of up to ``BLOCK_ROWS`` assignments
-with one matrix product, and ``qap_count_max`` maximizes over the grid
-assignments of given class counts by meet in the middle, on the two halves
-that ``count_assignments`` also joins.
+Callers supply only the objective.  Enumeration is exhaustive, hence
+exact: ``every_assignment`` yields the class sequences of a grid in product
+order, ``count_assignments`` those of given class counts in lexicographic
+order, and ``qap_count_max`` maximizes a quadratic assignment value over the
+latter by meet in the middle, on the halves that ``count_assignments``
+joins.  A permutation is a sequence of counts (1,) * n, so the exact tiers
+over relabelings, up to ``EXACT_PERM_MAX`` cells, run on these two as well.
 ``flip_search`` climbs by single-coordinate flips of a boolean vector and
 gives a flagged lower bound; ``rectangle_search`` runs it over the rows and
 columns of S x T, and ``metrics.cut_norm_real_search`` over the row sets of
@@ -21,11 +21,10 @@ result is the deterministic best-of.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -39,12 +38,9 @@ __all__ = [
     "FLIP_STEPS",
     "SearchBudget",
     "SearchResult",
-    "permutation_table",
     "every_assignment",
     "count_assignments",
-    "qap_values",
     "qap_count_max",
-    "argmax_chunks",
     "flip_search",
     "rectangle_search",
     "ordered_matmul",
@@ -56,7 +52,7 @@ __all__ = [
 ]
 
 EXACT_PERM_MAX = 8
-BLOCK_ROWS = 4096  # rows per enumerated block, and per one-hot matrix
+BLOCK_ROWS = 4096  # rows per enumerated block
 FLIP_STEPS = 64
 # Geometric cooling factor per annealing step; each restart starts at a
 # temperature of a quarter of its initial energy.
@@ -114,12 +110,6 @@ class SearchResult:
         return out
 
 
-def permutation_table(n: int) -> np.ndarray:
-    """Every permutation of range(n), as an (n!, n) array in lexicographic order."""
-    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
-    return np.fromiter(flat, dtype=np.intp, count=n * math.factorial(n)).reshape(-1, n)
-
-
 def every_assignment(n: int, k: int) -> Iterator[np.ndarray]:
     """The k**n rows of ``itertools.product(range(k), repeat=n)``, in its
     order, as (<= BLOCK_ROWS, n) arrays: row i is i counted in base k."""
@@ -135,7 +125,11 @@ def _halves(n: int, counts: tuple):
     class counts, keyed in the mixed radix counts + 1.  Left row i joins
     right rows lo[i]:hi[i], of the complementary counts; rows that join none
     are left out, so negative counts or counts not summing to n give none.
-    Oracles repeat their grids, so the read-only arrays are kept per shape.
+    For ``qap_count_max`` also ``by_class``, the left rows stably sorted by
+    count class; the one-hot left rows in that order and the one-hot right
+    rows; and one span (a, b, lo, hi) per class, whose left rows
+    by_class[a:b] join right rows lo:hi.  Oracles repeat their grids, so the
+    read-only arrays are kept per shape.
     """
     counts = np.asarray(counts, dtype=np.int64)
     live = np.flatnonzero(counts > 0)  # absent classes are never enumerated
@@ -150,35 +144,30 @@ def _halves(n: int, counts: tuple):
     (left, need), (right, key) = halves
     order = np.argsort(key, kind="stable")
     lo, hi = (np.searchsorted(key[order], radix[-1] - 1 - need, side=s) for s in ("left", "right"))
-    out = left[hi > lo], right[order], lo[hi > lo], hi[hi > lo]
+    left, right, lo, hi = left[hi > lo], right[order], lo[hi > lo], hi[hi > lo]
+    by_class = np.argsort(lo, kind="stable")  # each class keeps its product order
+    firsts = np.flatnonzero(np.diff(lo[by_class], prepend=-1)).tolist()
+    spans = tuple((a, b, int(lo[by_class[a]]), int(hi[by_class[a]]))
+                  for a, b in zip(firsts, firsts[1:] + [len(left)]))
+    x_left, x_right = _one_hot(left[by_class], counts.size), _one_hot(right, counts.size)
+    out = left, right, lo, hi, by_class, x_left, x_right
     for a in out:
         a.setflags(write=False)
-    return out
+    return out + (spans,)
 
 
 def count_assignments(n: int, counts) -> Iterator[np.ndarray]:
     """Every length-n class sequence with the given class counts, as
     (<= BLOCK_ROWS, n) arrays in lexicographic order: each left half of
-    ``_halves`` in turn, joined with each of its right halves."""
-    left, right, lo, hi = _halves(n, tuple(counts))
+    ``_halves`` in turn, joined with each of its right halves.  The
+    permutations of range(n), in lexicographic order, are the counts
+    (1,) * n."""
+    left, right, lo, hi = _halves(n, tuple(counts))[:4]
     ends = np.cumsum(hi - lo)
     for start in range(0, int(ends[-1:].sum()), BLOCK_ROWS):
         at = np.arange(start, min(start + BLOCK_ROWS, int(ends[-1])))
         i = np.searchsorted(ends, at, side="right")
         yield np.concatenate([left[i], right[hi[i] - ends[i] + at]], axis=1)
-
-
-def qap_values(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_(a,b) table[a, b, z[a], z[b]] for every row z of ``rows``.
-
-    ``table`` is (n, n, k, k) and ``rows`` an (R, n) block of classes in
-    range(k): permutations when k = n.  With x the (R, n * k) one-hot rows
-    and c the table as an (n * k, n * k) matrix, the values are the diagonal
-    of x c x^T, one matrix product per block.
-    """
-    n, k = table.shape[1:3]
-    x = _one_hot(rows, k)
-    return np.einsum("ij,ij->i", x @ table.transpose(0, 2, 1, 3).reshape(n * k, n * k), x)
 
 
 def _one_hot(rows: np.ndarray, k: int) -> np.ndarray:
@@ -189,51 +178,33 @@ def _one_hot(rows: np.ndarray, k: int) -> np.ndarray:
 
 
 def qap_count_max(table: np.ndarray, counts) -> tuple[float, Optional[np.ndarray]]:
-    """Largest ``qap_values`` entry over the class sequences with these
-    counts, and the lexicographically first sequence attaining it; no
-    sequence gives (-inf, None).
+    """Largest sum_(a,b) table[a, b, z[a], z[b]] over the class sequences z
+    with these counts, and the lexicographically first sequence attaining
+    it; no sequence gives (-inf, None).  ``table`` is (n, n, k, k), with k
+    the number of counts.
 
-    Meet in the middle (Horowitz-Sahni): with a one-hot row x = (x_L, x_R)
-    split as in ``_halves`` and the (n k, n k) table c alike, x c x^T = v_L
-    + v_R + x_L M x_R^T, M the sum of the off-diagonal blocks.  Each half is
-    valued once on its diagonal block, and each left count class meets its
-    right rows in one product, whose row-major argmax is first in order.
+    Meet in the middle (Horowitz-Sahni): with c the table as an (n k, n k)
+    matrix and a one-hot row x = (x_L, x_R) split as in ``_halves``, the
+    value x c x^T = v_L + v_R + x_L M x_R^T, M the sum of the off-diagonal
+    blocks of c.  Each half is valued once on its diagonal block, and each
+    left count class meets its right rows in one product, whose row-major
+    argmax is first in order.
     """
     n, k = table.shape[1:3]
-    left, right, lo, hi = _halves(n, tuple(counts))
+    left, right, _, _, by_class, xl, xr, spans = _halves(n, tuple(counts))
     if len(left) == 0:
         return -np.inf, None
     c, s = table.transpose(0, 2, 1, 3).reshape(n * k, n * k), n // 2 * k
-    xl, xr = _one_hot(left, k), _one_hot(right, k)
     vl, vr = np.einsum("ij,ij->i", xl @ c[:s, :s], xl), np.einsum("ij,ij->i", xr @ c[s:, s:], xr)
-    by_class = np.argsort(lo, kind="stable")  # each class keeps its product order
-    vl, xl = vl[by_class], xl[by_class] @ (c[:s, s:] + c[s:, :s].T)
-    firsts = np.flatnonzero(np.diff(lo[by_class], prepend=-1)).tolist()
+    xm = xl @ (c[:s, s:] + c[s:, :s].T)
     best, where = -np.inf, None
-    for a, b in zip(firsts, firsts[1:] + [len(left)]):
-        start, stop = lo[by_class[a]], hi[by_class[a]]
-        vals = vl[a:b, None] + vr[start:stop] + xl[a:b] @ xr[start:stop].T
+    for a, b, start, stop in spans:
+        vals = vl[a:b, None] + vr[start:stop] + xm[a:b] @ xr[start:stop].T
         i, j = divmod(int(vals.argmax()), stop - start)
         # a tie across classes goes to the first left half
         if vals[i, j] > best or (vals[i, j] == best and by_class[a + i] < where[0]):
             best, where = float(vals[i, j]), (by_class[a + i], start + j)
     return best, np.concatenate([left[where[0]], right[where[1]]])
-
-
-def argmax_chunks(
-    chunks: Iterable[np.ndarray], values: Callable[[np.ndarray], np.ndarray]
-) -> tuple[float, Optional[np.ndarray]]:
-    """Largest entry of ``values(chunk)`` over all chunks, and its row.
-
-    The first row attaining the maximum wins; no chunks give (-inf, None).
-    """
-    best_val, best_row = -np.inf, None
-    for chunk in chunks:
-        vals = values(chunk)
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val, best_row = float(vals[i]), chunk[i].copy()
-    return best_val, best_row
 
 
 def flip_search(
@@ -406,14 +377,13 @@ def qap_value(interactions: np.ndarray, perm: np.ndarray) -> float:
 def qap_optimize(interactions: np.ndarray, budget: Optional[SearchBudget] = None) -> SearchResult:
     """Maximize sum_(a,b) interactions[a, b, perm(a), perm(b)] over permutations.
 
-    Exhaustive (exact) up to EXACT_PERM_MAX, in blocks of BLOCK_ROWS; annealed
-    and flagged beyond.  Both tiers report ``qap_value`` at the certificate.
+    Exhaustive (exact) up to EXACT_PERM_MAX cells, as ``qap_count_max`` over
+    the class sequences of counts (1,) * n; annealed and flagged beyond.
+    Both tiers report ``qap_value`` at the certificate.
     """
     n = interactions.shape[0]
     if n <= EXACT_PERM_MAX:
-        perms = permutation_table(n)
-        blocks = (perms[i : i + BLOCK_ROWS] for i in range(0, len(perms), BLOCK_ROWS))
-        _, perm = argmax_chunks(blocks, lambda p: qap_values(interactions, p))
+        perm = qap_count_max(interactions, (1,) * n)[1]
         return SearchResult(qap_value(interactions, perm), True, perm)
     perm, value = anneal_permutation(
         n, lambda p: qap_value(interactions, p), budget or SearchBudget(), minimize=False

@@ -6,7 +6,6 @@ import pytest
 from stepkernels import (
     CbGraph,
     CbStepKernel,
-    Coupling,
     DecorationSpace,
     RealStepKernel,
     SignedMeasure,
@@ -144,6 +143,12 @@ class TestRefine:
     def test_identity_refinement(self):
         k = from_real_graphon(RUNNING)
         assert uniform_refine(k, 2).approx_eq(k)
+
+    def test_equal_parts_return_the_kernel(self):
+        k = from_real_graphon(RUNNING)
+        real = RealStepKernel(np.full(3, 1 / 3), np.eye(3))
+        assert uniform_refine(k, 2) is k and uniform_refine(real, 3) is real
+        assert uniform_refine(real, 6) is not real
 
     def test_replication(self):
         k = from_real_graphon(RUNNING)
@@ -332,21 +337,6 @@ class TestCbGraph:
         z = DecorationSpace.two_point()
         g = CbGraph.from_edges(z, 4, [(0, 1, [1.0, 1.0])])
         assert np.allclose(g.alpha, 0.25)
-
-
-class TestCoupling:
-    def test_product(self):
-        c = Coupling.product([0.5, 0.5], [0.25, 0.75])
-        assert np.allclose(c.matrix.sum(axis=0), [0.25, 0.75])
-
-    def test_from_permutation(self):
-        c = Coupling.from_permutation([2, 0, 1])
-        assert np.allclose(c.matrix.sum(axis=1), 1 / 3)
-        assert c.matrix[0, 2] == pytest.approx(1 / 3)
-
-    def test_rejects_bad_marginals(self):
-        with pytest.raises(ValueError, match="row sums"):
-            Coupling([0.5, 0.5], [1.0], [[0.3], [0.4]])
 
 
 class TestKernelArithmetic:

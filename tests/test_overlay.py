@@ -76,6 +76,31 @@ class TestOverlapMatrix:
         with pytest.raises(ValueError, match="nonnegative"):
             OverlapMatrix([[-0.1, 0.6], [0.1, 0.4]])
 
+    def test_product_of_marginals(self):
+        o = OverlapMatrix(np.outer([0.5, 0.5], [0.25, 0.75]))
+        o.check_marginals([0.5, 0.5], [0.25, 0.75])
+        assert np.allclose(o.rho, [[0.125, 0.375], [0.125, 0.375]])
+
+    def test_permutation_of_equal_parts(self):
+        o = OverlapMatrix.from_assignment(np.full(3, 1 / 3), [2, 0, 1], 3)
+        o.check_marginals(np.full(3, 1 / 3), np.full(3, 1 / 3))
+        assert o.rho[0, 2] == pytest.approx(1 / 3) and np.count_nonzero(o.rho) == 3
+
+    def test_rejects_bad_row_sums(self):
+        o = OverlapMatrix([[0.3], [0.4]])
+        with pytest.raises(ValueError, match="row sums"):
+            o.check_marginals([0.5, 0.5], [0.7])
+
+    def test_interaction_matches_the_einsum_contraction(self):
+        from stepkernels.overlay import _interaction
+
+        rng = np.random.default_rng(5)
+        space = DecorationSpace.two_point()
+        kernel = random_prob_kernel(rng, space, 4)
+        graph = CbGraph(space, rng.random((3, 3, space.size)))
+        want = np.einsum("pqm,ijm->pqij", kernel.entries, graph.beta)
+        np.testing.assert_allclose(_interaction(kernel, graph), want, rtol=0, atol=1e-15)
+
 
 class TestOverlayGraph:
     def test_zero_decorations(self):

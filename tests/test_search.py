@@ -25,18 +25,16 @@ from stepkernels import (
     dsquare_quotient_search,
     lp_distance_batch,
     overlay_graph,
+    uniform_refine,
 )
 from stepkernels.search import (
     FLIP_STEPS,
     SearchBudget,
-    argmax_chunks,
     count_assignments,
     flip_search,
-    permutation_table,
     qap_count_max,
     qap_optimize,
     qap_value,
-    qap_values,
     rectangle_search,
 )
 
@@ -64,25 +62,28 @@ def rectangle_mass(blocks, s, t):
     return np.einsum("p,pqm,q->m", s.astype(float), blocks, t.astype(float))
 
 
-class TestEnumeration:
-    @pytest.mark.parametrize("n", [1, 4, 6])
-    def test_permutation_table(self, n):
-        table = permutation_table(n)
-        assert table.dtype == np.intp
-        assert table.tolist() == [list(p) for p in itertools.permutations(range(n))]
+def filtered_product(n, counts):
+    """The rows of ``itertools.product(range(len(counts)), repeat=n)`` with
+    these class counts, in its order; prefixes that exceed a count are
+    pruned, so n! permutations cost n! rows, not n**n."""
+    if n == 0:
+        return [()] if not any(counts) else []
+    return [(c,) + z for c in range(len(counts)) if counts[c] > 0
+            for z in filtered_product(n - 1, counts[:c] + [counts[c] - 1] + counts[c + 1:])]
 
+
+class TestEnumeration:
     @pytest.mark.parametrize(
         "n, counts",
         [(0, []), (0, [0, 0]), (1, [0, 1]), (4, [4]), (5, [2, 0, 3]), (6, [0, 6, 0]),
-         (7, [2, 2, 3]), (8, [3, 0, 5]), (9, [2, 3, 0, 4]), (14, [7, 7])],
+         (7, [2, 2, 3]), (8, [3, 0, 5]), (9, [2, 3, 0, 4]), (14, [7, 7]),
+         # permutations, in the order of itertools.permutations
+         (1, [1]), (4, [1] * 4), (6, [1] * 6), (8, [1] * 8)],
     )
     def test_count_assignments_match_filtered_product(self, n, counts):
-        want = [
-            z for z in itertools.product(range(len(counts)), repeat=n)
-            if all(z.count(c) == counts[c] for c in range(len(counts)))
-        ]
+        want = filtered_product(n, counts)
         blocks = list(count_assignments(n, counts))
-        # (14, [7, 7]) has 3432 rows: one partial block; the others fit in one
+        # (14, [7, 7]) has 3432 rows and (8, [1] * 8) 40320: blocks of 4096
         assert all(b.dtype == np.intp and b.shape[0] <= 4096 for b in blocks)
         assert np.concatenate(blocks).tolist() == [list(z) for z in want]
 
@@ -100,33 +101,19 @@ class TestEnumeration:
         assert list(count_assignments(3, [1, 1])) == []
         assert list(count_assignments(2, [3, -1])) == []
 
-    @pytest.mark.parametrize("n, k, rows", [
-        (5, 5, np.array(list(itertools.permutations(range(5))), dtype=np.intp)),
-        (7, 3, np.concatenate(list(count_assignments(7, [2, 2, 3])))),
-        (6, 1, np.zeros((1, 6), dtype=np.intp)),
-        (6, 2, np.array([[1, 0, 0, 1, 1, 0]], dtype=np.intp)),
-    ])
-    def test_qap_values_match_qap_value(self, n, k, rows):
-        # permutations (k = n), class-count rows (k < n), one class, one row
-        t = np.random.default_rng(n + k).normal(size=(n, n, k, k))
-        values = qap_values(t, rows)
-        assert values.shape == (rows.shape[0],)
-        np.testing.assert_allclose(values, [qap_value(t, z) for z in rows], rtol=0, atol=1e-12)
-
-    def test_exhaustive_qap_blocks_of_4096(self, monkeypatch):
-        from stepkernels import search
-
-        sizes = []
-
-        def recorded(table, rows):
-            sizes.append(rows.shape[0])
-            return qap_values(table, rows)
-
-        monkeypatch.setattr(search, "qap_values", recorded)
-        t = np.random.default_rng(8).random((8, 8, 8, 8))
+    def test_exhaustive_qap_on_ties_matches_brute_force(self):
+        # 2-part kernels refined to 8 cells: every maximum is tied many times
+        space = DecorationSpace.two_point()
+        u = StepKernel(space, [0.5, 0.5], [[[0.25, 0.75], [0.5, 0.5]], [[0.5, 0.5], [1.0, 0.0]]])
+        w = StepKernel(space, [0.5, 0.5], [[[1.0, 0.0], [0.75, 0.25]], [[0.75, 0.25], [0.5, 0.5]]])
+        t = np.einsum("abm,cdm->abcd", uniform_refine(u, 8).entries, uniform_refine(w, 8).entries)
+        perms, cells = np.array(list(itertools.permutations(range(8)))), np.arange(8)
+        values = t[cells[:, None], cells, perms[:, :, None], perms[:, None, :]].sum(axis=(1, 2))
         res = qap_optimize(t)
-        assert res.exact and res.value == qap_value(t, res.certificate)
-        assert max(sizes) <= 4096 and sum(sizes) == 40320
+        assert res.exact
+        assert res.value == pytest.approx(values.max(), abs=1e-12)
+        assert qap_value(t, res.certificate) == pytest.approx(values.max(), abs=1e-12)
+        assert (values >= values.max() - 1e-12).sum() > 1
 
     @pytest.mark.parametrize("n, counts", [
         (1, [1]), (6, [3, 3]), (7, [3, 4]), (9, [2, 3, 4]), (8, [0, 5, 3]), (10, [2, 2, 3, 3]),
@@ -134,17 +121,15 @@ class TestEnumeration:
     def test_qap_count_max_matches_every_block(self, n, counts):
         t = np.random.default_rng(n).normal(size=(n, n, len(counts), len(counts)))
         best, row = qap_count_max(t, counts)
-        want, want_row = argmax_chunks(count_assignments(n, counts), lambda z: qap_values(t, z))
-        assert row.dtype == np.intp and row.tolist() == want_row.tolist()
+        want, want_row = -np.inf, None
+        for z in filtered_product(n, counts):
+            value = qap_value(t, np.array(z))
+            if value > want + 1e-12:  # the first row attaining the maximum wins
+                want, want_row = value, z
+        assert row.dtype == np.intp and row.tolist() == list(want_row)
         assert best == pytest.approx(want, abs=1e-12)
         assert best == pytest.approx(qap_value(t, row), abs=1e-12)
         assert qap_count_max(t, [n + 1] + [0] * (len(counts) - 1)) == (-np.inf, None)
-
-    def test_argmax_chunks_first_row_wins(self):
-        rows = np.array([[0], [3], [1], [3], [2]], dtype=np.intp)
-        best, row = argmax_chunks([rows[:2], rows[2:4], rows[4:]], lambda c: c[:, 0].astype(float))
-        assert best == 3.0 and row.tolist() == [3]
-        assert argmax_chunks([], lambda c: c) == (-np.inf, None)
 
     def test_exhaustive_qap_matches_brute_force(self):
         rng = np.random.default_rng(1)
@@ -154,6 +139,32 @@ class TestEnumeration:
         assert res.exact
         assert res.value == pytest.approx(max(values.values()), abs=1e-12)
         assert qap_value(t, res.certificate) == pytest.approx(res.value, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_exhaustive_qap_takes_the_first_tied_permutation(self, n):
+        # a 2-part integer kernel against an integer graph: sums are exact,
+        # and every maximum from n = 3 on is tied
+        rng, half = np.random.default_rng(n), np.arange(n) % 2
+        u, w = rng.integers(1, 3, (2, 2))[np.ix_(half, half)], rng.integers(0, 3, (n, n))
+        t = np.einsum("ab,ij->abij", u, w).astype(float)
+        perms = list(itertools.permutations(range(n)))
+        values = [qap_value(t, np.array(p)) for p in perms]
+        res = qap_optimize(t)
+        assert res.exact and res.value == max(values)
+        assert res.certificate.tolist() == list(perms[values.index(max(values))])
+
+    def test_qap_count_max_shape_cache_is_read_only(self):
+        from stepkernels.search import _halves
+
+        rng = np.random.default_rng(6)
+        tables = [rng.normal(size=(6, 6, 2, 2)) for _ in range(2)]
+        first = [qap_count_max(t, [3, 3]) for t in tables]
+        # the shape-only arrays are shared between calls and cannot be written
+        assert not any(a.flags.writeable for a in _halves(6, (3, 3))[:-1])
+        again = [qap_count_max(t, [3, 3]) for t in reversed(tables)][::-1]
+        for (v, row), (w, row2), t in zip(first, again, tables):
+            assert v == w and row.tolist() == row2.tolist()
+            assert v == pytest.approx(qap_value(t, row), abs=1e-12)
 
 
 class TestFlipSearch:
