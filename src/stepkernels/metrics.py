@@ -13,6 +13,11 @@ its sign vectors).  The unlabeled
 distances minimize the labeled ones over permutations of a common uniform
 refinement: exhaustively up to EXACT_PERM_MAX parts, by simulated annealing
 beyond, always reporting an exactness flag and the best permutation found.
+The exhaustive tier races the relabelings against the pair-quotient lower
+bound (the labeled distance between the quotients over ({a}, {b}, rest)),
+evaluating them in ascending bound order until the bound passes the
+incumbent by a rounding margin; it reports the smallest computed value and
+the lexicographically first permutation attaining it.
 """
 
 from __future__ import annotations
@@ -83,12 +88,19 @@ def cut_norm_real(w: RealStepKernel) -> float:
 def cut_norm_real_search(w: RealStepKernel, budget: Optional[SearchBudget] = None) -> SearchResult:
     """Flip-search lower bound over row sets for kernels with many parts.
 
-    For a row set S the best column set keeps the positive, or the negative,
-    column sums ``col``; flipping row i moves them to col -+ row i, so one
-    scan prices every flip.  The certificate is the best row set found.
+    Parts whose rows and columns are both equal are merged first, their
+    sizes summed; that leaves the cut norm unchanged, so a kernel merging to
+    at most CUT_NORM_MAX_PARTS parts (a uniform refinement of a small one)
+    gets the exact tier.  Otherwise, for a row set S the best column set
+    keeps the positive, or the negative, column sums ``col``; flipping row i
+    moves them to col -+ row i, so one scan prices every flip.  The
+    certificate is the best row set found.
     """
     if w.n_parts <= CUT_NORM_MAX_PARTS:
         return SearchResult(cut_norm_real(w), True, None)
+    merged = _merge_equal_parts(w)
+    if merged.n_parts <= CUT_NORM_MAX_PARTS:
+        return SearchResult(cut_norm_real(merged), True, None)
     weighted = w.values * np.outer(w.part_sizes, w.part_sizes)
 
     def side(col):
@@ -100,6 +112,19 @@ def cut_norm_real_search(w: RealStepKernel, budget: Optional[SearchBudget] = Non
 
     value, rows = flip_search(scan, w.n_parts, budget or SearchBudget(), key=7)
     return SearchResult(value, False, rows)
+
+
+def _merge_equal_parts(w: RealStepKernel) -> RealStepKernel:
+    """The kernel with each class of parts whose rows and columns are both
+    equal merged into its first part, the part sizes summed."""
+    v = w.values
+    _, first, inverse = np.unique(
+        np.concatenate([v, v.T], axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    rank = np.argsort(np.argsort(first))  # classes in order of first appearance
+    keep = np.sort(first)
+    sizes = np.bincount(rank[inverse.ravel()], weights=w.part_sizes, minlength=keep.size)
+    return RealStepKernel(sizes, v[np.ix_(keep, keep)])
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +347,11 @@ def delta_cut(
     distance is minimized over permutations of the grid cells.  Shortcuts:
     a permutation realizing exact block equality gives 0 immediately, and a
     constant kernel makes every permutation equivalent.  For at most
-    EXACT_PERM_MAX cells the enumeration is exhaustive (with early-exit
-    pruning against the incumbent); beyond that simulated annealing runs
-    within the budget and the result is flagged inexact.
+    EXACT_PERM_MAX cells the enumeration is exhaustive: relabelings are
+    raced against their pair-quotient lower bounds, with a rounding margin,
+    and the certificate is the lexicographically first permutation attaining
+    the smallest value (``_delta_exhaustive``).  Beyond that simulated
+    annealing runs within the budget and the result is flagged inexact.
     """
     if metric not in ("lp", "f"):
         raise ValueError(f"unknown metric {metric!r}")
@@ -354,63 +381,116 @@ def delta_cut(
 
 
 def _delta_exhaustive(u, w, metric, fam):
-    """Exhaustive minimum over cell permutations.
+    """Exhaustive minimum over cell permutations, by a race against a lower
+    bound.
 
-    Branch pruning: the distance between single-block rectangles lower-bounds
-    the full rectangle supremum, and those bounds are cheap for every
-    permutation at once.  Stacks of relabelings of w are evaluated in
-    ascending lower-bound order until the bound reaches the incumbent; the
-    first permutation attaining the minimum wins.
+    Pair-quotient bound: a rectangle of the quotient over the parts ({a},
+    {b}, rest) is a union of cells, so the labeled distance between the
+    quotients of u and of w relabeled by pi lower-bounds the labeled distance
+    at pi, and with pi(a) = c, pi(b) = d the quotient of the relabeled w is
+    that of w over ({c}, {d}, rest).  ``_pair_bounds`` tabulates these
+    distances once per pair a < b of u and ordered pair (c, d) of w, with
+    the function the race evaluates, and bounds each relabeling by its
+    largest entry.  Relabelings are evaluated in stacks, the lowest bound
+    alone first, in ascending bound order while the bound stays below the
+    incumbent plus ``_race_margin``, the rounding slack between a computed
+    bound and a computed value.  When every relabeling fits in one stack the
+    bounds are skipped and all are evaluated at once.  The result is the
+    smallest computed value and, among equal values, the lexicographically
+    first permutation, whatever the bound order or the stack size.
     """
     n = u.n_parts
-    m = u.space.size
     wu = _weighted_entries(u)
     ww = _weighted_entries(w)
     if metric == "f":
-        scale = fam.scale_weights()
-        fu_blk = wu @ fam.values.T
-        fw_blk = ww @ fam.values.T
-        single = np.einsum(
-            "abcdk,k->abcd",
-            np.abs(fu_blk[:, :, None, None, :] - fw_blk[None, None, :, :, :]),
-            scale,
-        )
-
-        def values(stack):
-            return _f_rectangles(fam, wu[None] - stack)
-    else:
-        pairs_u = np.broadcast_to(np.clip(wu, 0, None)[:, :, None, None, :], (n, n, n, n, m))
-        pairs_w = np.broadcast_to(np.clip(ww, 0, None)[None, None, :, :, :], (n, n, n, n, m))
-        single = lp_distance_batch(
-            u.space, pairs_u.reshape(-1, m), pairs_w.reshape(-1, m)
-        ).reshape(n, n, n, n)
-
-        def values(stack):
-            return lp_rectangle_max(u.space, wu[None], stack)
-
-    perms = np.concatenate(list(count_assignments(n, (1,) * n)))
-    cells = np.arange(n)
-    bounds = single[cells[:, None], cells, perms[:, :, None], perms[:, None, :]].max(axis=(1, 2))
-    order = np.argsort(bounds, kind="stable")
-    perms = perms[order]
-    bounds = bounds[order]
-
-    # at most this many block functionals per threshold, for each relabeling
-    if metric == "f":
         width = 1 << len(fam) if _sign_vectors(len(fam), n) else len(fam)
+        terms, weight = len(fam), np.abs(fam.values).T @ fam.scale_weights()
+
+        def dist(a, b):
+            return _f_rectangles(fam, a - b)
     else:
-        width = 1 << (m + 1)
+        width = 1 << (u.space.size + 1)
+        terms, weight = 1, np.ones(u.space.size)
+
+        def dist(a, b):
+            return lp_rectangle_max(u.space, a, b)
+
+    # a stack holds about 16 * LP_CHUNK row-set sums: at most ``width``
+    # block functionals x n columns x 2**n row sets for each relabeling
     size = max(1, (measures.LP_CHUNK << 4) // (width * n << n))
-    best, best_perm = np.inf, perms[0].copy()
-    start = 0
-    while start < perms.shape[0] and bounds[start] < best:
-        stack = perms[start : min(start + size, int(np.searchsorted(bounds, best)))]
-        vals = values(ww[stack[:, :, None], stack[:, None, :]])
+    perms = np.concatenate(list(count_assignments(n, (1,) * n)))  # lexicographic
+    if len(perms) <= size:
+        vals = dist(wu[None], ww[perms[:, :, None], perms[:, None, :]])
         i = int(np.argmin(vals))
-        if vals[i] < best:
-            best, best_perm = float(vals[i]), stack[i].copy()
-        start += stack.shape[0]
-    return best, best_perm
+        return float(vals[i]), perms[i].copy()
+    bounds = _pair_bounds(wu, ww, perms, dist, size * n * n)
+    order = np.argsort(bounds, kind="stable")
+    ranked = bounds[order]
+    margin = _race_margin(wu, ww, terms, weight)
+    best, at = np.inf, len(perms)
+    start, step = 0, 1
+    while start < len(order) and ranked[start] < best + margin:
+        idx = order[start : min(start + step, int(np.searchsorted(ranked, best + margin)))]
+        stack = perms[idx]
+        vals = dist(wu[None], ww[stack[:, :, None], stack[:, None, :]])
+        low = vals.min()
+        first = int(idx[vals == low].min())
+        if low < best or (low == best and first < at):
+            best, at = float(low), first
+        start, step = start + len(idx), size
+    return best, perms[at].copy()
+
+
+def _pair_quotients(blocks: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """(len(pairs), 3, 3, m) block masses of an (n, n, m) block array over
+    the parts ({a}, {b}, rest), one per pair (a, b), the rest summed cell by
+    cell."""
+    k = np.arange(len(pairs))
+    member = np.zeros((len(pairs), 3, blocks.shape[0]))
+    member[k, 0, pairs[:, 0]] = 1.0
+    member[k, 1, pairs[:, 1]] = 1.0
+    member[:, 2] = 1.0 - member[:, 0] - member[:, 1]
+    rows = np.einsum("pxi,ijm->pxjm", member, blocks)
+    return np.einsum("pxjm,pyj->pxym", rows, member)
+
+
+def _pair_bounds(wu: np.ndarray, ww: np.ndarray, perms: np.ndarray, dist, blocks: int) -> np.ndarray:
+    """Pair-quotient lower bounds of the relabelings ``perms`` of w against u.
+
+    B[a, b, c, d] = dist(pair quotient of u at (a, b), pair quotient of w at
+    (c, d)) over the pairs a < b and every ordered c != d (the table is
+    symmetric under swapping both pairs), and a relabeling pi is bounded by
+    the largest B[a, b, pi(a), pi(b)].  Each ``dist`` call takes the pairs
+    (a, b) of one stack of at most ``blocks`` quotient blocks, or one pair.
+    """
+    n = wu.shape[0]
+    a, b = np.triu_indices(n, 1)
+    c, d = np.nonzero(~np.eye(n, dtype=bool))
+    qu = _pair_quotients(wu, np.stack([a, b], axis=1))
+    qw = _pair_quotients(ww, np.stack([c, d], axis=1))
+    table = np.zeros((a.size, n * n))
+    step = max(1, blocks // (9 * c.size))
+    for i in range(0, a.size, step):
+        rows = qu[i : i + step]
+        pairs = dist(np.repeat(rows, c.size, axis=0), np.tile(qw, (len(rows), 1, 1, 1)))
+        table[i : i + step, c * n + d] = pairs.reshape(len(rows), c.size)
+    return table[np.arange(a.size), perms[:, a] * n + perms[:, b]].max(axis=1)
+
+
+def _race_margin(wu: np.ndarray, ww: np.ndarray, k: int, weight: np.ndarray) -> float:
+    """Rounding slack between a computed bound and a computed value.
+
+    Both come from chains of sums over the cells of a rectangle, the points
+    of a subset and the k family functions: at most L = n * n * (m + k)
+    terms of the weighted block masses, so each is within L * 2**-53 * M of
+    its exact value, M the sum over blocks and points of (|u| + |w|) times
+    the point weight (1 for Levy-Prokhorov, sum_k scale_k |f_k| for a
+    family); the Levy-Prokhorov scan moves no more than its gaps.  The
+    margin 2**-50 * L * M covers both errors four times over.
+    """
+    n, _, m = wu.shape
+    mass = (np.abs(wu) + np.abs(ww)).sum(axis=(0, 1)) @ weight
+    return float(2.0**-50 * n * n * (m + k) * mass)
 
 
 def f_inner(u: StepKernel, w: StepKernel, fam: TestFamily) -> float:

@@ -68,7 +68,7 @@ class SearchBudget:
     seed: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchResult:
     """A searched value, its exactness flag and what attains it.
 

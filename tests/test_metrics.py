@@ -31,6 +31,7 @@ from stepkernels import (
     relabel,
     uniform_refine,
 )
+from stepkernels import metrics
 from stepkernels.search import SearchBudget
 
 
@@ -125,12 +126,33 @@ class TestCutNormReal:
         with pytest.raises(ValueError, match="capped"):
             cut_norm_real(w)
         res = cut_norm_real_search(w, SearchBudget(restarts=3, steps=50, seed=0))
+        if base is not None:
+            # equal rows and columns merge back to the base parts: exact
+            assert res.exact and res.certificate is None
+            assert res.value == pytest.approx(cut_norm_real(base), rel=0, abs=1e-15)
+            return
         assert not res.exact and res.value > 0.0
         # the certificate row set replays to the reported value
         col = (w.values * np.outer(w.part_sizes, w.part_sizes))[res.certificate].sum(axis=0)
         assert res.value == max(np.clip(col, 0, None).sum(), np.clip(-col, 0, None).sum())
-        if base is not None:
-            assert res.value <= cut_norm_real(base) + 1e-12
+
+    def test_merged_parts_keep_the_norm(self):
+        # a 30-part kernel with three classes of equal rows and columns, on
+        # uneven parts, against its 3-part merge
+        rng = np.random.default_rng(12)
+        base = rng.random((3, 3)) - 0.5
+        owner = rng.permutation(np.arange(30) % 3)
+        lam = rng.dirichlet(np.ones(30))
+        w = RealStepKernel(lam, base[np.ix_(owner, owner)])
+        merged = RealStepKernel(np.bincount(owner, weights=lam), base)
+        res = cut_norm_real_search(w)
+        assert res.exact
+        assert res.value == pytest.approx(cut_norm_real(merged), rel=0, abs=1e-15)
+        # changing one value splits off row 0 and column 1: five classes
+        v = base[np.ix_(owner, owner)].copy()
+        v[0, 1] += 0.25
+        assert metrics._merge_equal_parts(RealStepKernel(lam, v)).n_parts == 5
+        assert cut_norm_real_search(RealStepKernel(lam, v)).exact
 
 
 class TestCutDistances:

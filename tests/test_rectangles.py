@@ -14,6 +14,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepkernels import measures, metrics
 from stepkernels import (
@@ -29,8 +31,9 @@ from stepkernels import (
     dsquare_quotient,
     lp_distance_batch,
     relabel,
+    uniform_refine,
 )
-from stepkernels.search import ordered_matmul, rectangle_max
+from stepkernels.search import count_assignments, lp_rectangle_max, ordered_matmul, rectangle_max
 
 
 def random_space(rng, m):
@@ -99,6 +102,26 @@ def uniform_pair(seed, cells, m):
     z = DecorationSpace.two_point() if m == 2 else DecorationSpace.discrete(range(m))
     lam = np.full(cells, 1.0 / cells)
     return random_kernel(rng, z, lam), random_kernel(rng, z, lam), TestFamily.default(z)
+
+
+def tied_pair(seed, m):
+    """A 6-cell refinement of a 3-part kernel against a random 6-cell
+    kernel: relabelings that differ by swapping the two cells of one part
+    tie, up to rounding."""
+    rng = np.random.default_rng([seed, 6, m, 3])
+    z = DecorationSpace.two_point() if m == 2 else DecorationSpace.discrete(range(m))
+    u = uniform_refine(random_kernel(rng, z, np.full(3, 1 / 3)), 6)
+    return u, random_kernel(rng, z, np.full(6, 1 / 6)), TestFamily.default(z)
+
+
+def race_parts(u, w, metric, fam):
+    """Block masses, the distance of the race and the margin arguments, as
+    ``metrics._delta_exhaustive`` forms them."""
+    wu, ww = block_masses(u), block_masses(w)
+    if metric == "f":
+        weight = np.abs(fam.values).T @ fam.scale_weights()
+        return wu, ww, lambda a, b: metrics._f_rectangles(fam, a - b), len(fam), weight
+    return wu, ww, lambda a, b: lp_rectangle_max(u.space, a, b), 1, np.ones(u.space.size)
 
 
 class TestRectangleMax:
@@ -260,21 +283,69 @@ class TestCutNormRealPinned:
 
 
 class TestExhaustiveDelta:
-    @pytest.mark.parametrize("seed, cells, m", [(0, 5, 2), (1, 5, 3), (2, 6, 2)])
+    @pytest.mark.parametrize(
+        "seed, cells, m",
+        [(0, 5, 2), (1, 5, 3), (2, 6, 2), (3, 6, 3), ("tied", 6, 2), ("tied", 6, 3)],
+    )
     def test_minimum_over_relabelings(self, seed, cells, m):
-        u, w, fam = uniform_pair(seed, cells, m)
+        u, w, fam = tied_pair(4, m) if seed == "tied" else uniform_pair(seed, cells, m)
         bu = block_masses(u)
         perms = [np.array(p) for p in itertools.permutations(range(cells))]
-        lp = min(lp_oracle(u.space, bu, block_masses(relabel(w, p))) for p in perms)
-        f = min(f_oracle(fam, bu, block_masses(relabel(w, p))) for p in perms)
-        res_lp = delta_cut(u, w, metric="lp")
-        res_f = delta_cut(u, w, metric="f", fam=fam)
-        assert res_lp.exact and res_f.exact
-        assert res_lp.value == pytest.approx(lp, rel=0, abs=1e-15)
-        assert res_f.value == pytest.approx(f, rel=0, abs=1e-15)
-        # the reported value is the labeled distance at the certificate, bit for bit
-        assert res_lp.value == cut_dist_lp(u, relabel(w, res_lp.certificate))
-        assert res_f.value == cut_dist_f(u, relabel(w, res_f.certificate), fam)
+        for metric, oracle, labeled in (
+            ("lp", lambda b: lp_oracle(u.space, bu, b), lambda v: cut_dist_lp(u, v)),
+            ("f", lambda b: f_oracle(fam, bu, b), lambda v: cut_dist_f(u, v, fam)),
+        ):
+            res = delta_cut(u, w, metric=metric, fam=fam)
+            want = min(oracle(block_masses(relabel(w, p))) for p in perms)
+            assert res.exact and res.value == pytest.approx(want, rel=0, abs=1e-15)
+            # the smallest labeled distance, bit for bit, at the first
+            # permutation attaining it
+            values = [labeled(relabel(w, p)) for p in perms]
+            assert res.value == min(values)
+            assert res.certificate.tolist() == perms[values.index(min(values))].tolist()
+
+    @given(
+        seed=st.integers(0, 2**16),
+        cells=st.integers(4, 7),
+        m=st.sampled_from([2, 3]),
+        metric=st.sampled_from(["lp", "f"]),
+        refined=st.booleans(),
+    )
+    @settings(max_examples=24, deadline=None)
+    def test_bound_below_value_plus_margin(self, seed, cells, m, metric, refined):
+        u, w, fam = uniform_pair(seed, cells, m)
+        base = [d for d in (2, 3) if cells % d == 0 and d < cells]
+        if refined and base:
+            rng = np.random.default_rng(seed)
+            u = uniform_refine(random_kernel(rng, u.space, np.full(base[0], 1 / base[0])), cells)
+        wu, ww, dist, terms, weight = race_parts(u, w, metric, fam)
+        perms = np.concatenate(list(count_assignments(cells, (1,) * cells)))
+        bounds = metrics._pair_bounds(wu, ww, perms, dist, 1 << 14)
+        values = np.concatenate([
+            dist(wu[None], ww[p[:, :, None], p[:, None, :]]) for p in np.array_split(perms, 24)
+        ])
+        margin = metrics._race_margin(wu, ww, terms, weight)
+        assert 0 < margin < 1e-11
+        assert (bounds <= values + margin).all()
+
+    def test_six_cells_evaluate_few_relabelings(self, monkeypatch):
+        u, w, fam = uniform_pair(5, 6, 3)
+        evaluated = []
+
+        def counted(fn):
+            def wrapper(*args):
+                stacks = [a for a in args if isinstance(a, np.ndarray) and a.ndim == 4]
+                if stacks[-1].shape[1] == 6:  # a stack of relabelings, not of quotients
+                    evaluated[-1] += len(stacks[-1])
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(metrics, "lp_rectangle_max", counted(metrics.lp_rectangle_max))
+        monkeypatch.setattr(metrics, "_f_rectangles", counted(metrics._f_rectangles))
+        for metric in ("lp", "f"):
+            evaluated.append(0)
+            assert delta_cut(u, w, metric=metric, fam=fam).exact
+        assert 0 < max(evaluated) < 100
 
 
 class TestChunkInvariance:
