@@ -13,6 +13,10 @@ its sign vectors).  The unlabeled
 distances minimize the labeled ones over permutations of a common uniform
 refinement: exhaustively up to EXACT_PERM_MAX parts, by simulated annealing
 beyond, always reporting an exactness flag and the best permutation found.
+A relabeling under which the blocks, rounded to 12 decimals, are equal gives
+0 at once: the identity on equal grids and, up to EXACT_PERM_MAX parts, the
+lexicographically first one found by ``search.qap_count_max`` on the 0/1
+block-match table.
 The exhaustive tier races the relabelings against the pair-quotient lower
 bound (the labeled distance between the quotients over ({a}, {b}, rest)),
 evaluating them in ascending bound order until the bound passes the
@@ -38,6 +42,7 @@ from .search import (
     flip_search,
     lp_rectangle_max,
     ordered_matmul,
+    qap_count_max,
     qap_optimize,
     rectangle_max,
     rectangle_search,
@@ -62,7 +67,6 @@ __all__ = [
 # column sets for a test family of more functions than parts).
 CUT_ENUM_MAX_PARTS = 12
 CUT_NORM_MAX_PARTS = 24
-_EQUALITY_DFS_NODE_CAP = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -261,76 +265,26 @@ def cut_dist_search(
 # unlabeled distances
 # ---------------------------------------------------------------------------
 
-def _find_equality_permutation(a: np.ndarray, b: np.ndarray, decimals: int = 12):
-    """Search for perm with b[perm[i], perm[j]] == a[i, j] for all i, j.
+def _equality_relabeling(u: np.ndarray, w: np.ndarray) -> Optional[np.ndarray]:
+    """A permutation p with w[p[i], p[j]] == u[i, j] for every block (i, j),
+    the blocks rounded to 12 decimals, or None.
 
-    Blocks are compared through quantized keys, so this is an exact-equality
-    shortcut (up to rounding at ``decimals``), not a tolerance search.  A
-    failed multiset pre-check or an exhausted node budget returns None.
+    Equal rounded grids give the identity.  Otherwise, for at most
+    EXACT_PERM_MAX cells and equal multisets of rounded entries, the 0/1
+    table match[a, b, c, d] = (u[a, b] == w[c, d]) goes to ``qap_count_max``:
+    a relabeling exists iff its maximum count reaches n * n, and then the
+    maximizer is the lexicographically first one (the counts are exact
+    integers).  Beyond EXACT_PERM_MAX cells only the identity is tried.
     """
-    n = a.shape[0]
-    keys: dict[bytes, int] = {}
-
-    def block_ids(x: np.ndarray) -> np.ndarray:
-        rounded = np.round(x, decimals) + 0.0  # normalize -0.0
-        out = np.empty((n, n), dtype=np.intp)
-        for i in range(n):
-            for j in range(n):
-                key = rounded[i, j].tobytes()
-                out[i, j] = keys.setdefault(key, len(keys))
-        return out
-
-    a_ids = block_ids(a)
-    b_ids = block_ids(b)
-    if not np.array_equal(np.sort(a_ids, axis=None), np.sort(b_ids, axis=None)):
+    ru, rw = np.round(u, 12), np.round(w, 12)
+    n = ru.shape[0]
+    if np.array_equal(ru, rw):
+        return np.arange(n, dtype=np.intp)
+    if n > EXACT_PERM_MAX or not np.array_equal(np.sort(ru, axis=None), np.sort(rw, axis=None)):
         return None
-    if not np.array_equal(np.sort(np.diag(a_ids)), np.sort(np.diag(b_ids))):
-        return None
-    b_diag = np.diag(b_ids)
-    candidates = [np.flatnonzero(b_diag == a_ids[i, i]) for i in range(n)]
-    # fill the most constrained vertices first
-    vertex_order = sorted(range(n), key=lambda i: candidates[i].size)
-    assignment = np.full(n, -1, dtype=np.intp)
-    used = np.zeros(n, dtype=bool)
-    nodes = 0
-
-    def extend(pos: int) -> bool:
-        nonlocal nodes
-        if pos == n:
-            return True
-        i = vertex_order[pos]
-        for c in candidates[i]:
-            if used[c]:
-                continue
-            nodes += 1
-            if nodes > _EQUALITY_DFS_NODE_CAP:
-                raise _DFSBudget()
-            ok = True
-            for prev in range(pos):
-                j = vertex_order[prev]
-                d = assignment[j]
-                if a_ids[i, j] != b_ids[c, d] or a_ids[j, i] != b_ids[d, c]:
-                    ok = False
-                    break
-            if ok:
-                assignment[i] = c
-                used[c] = True
-                if extend(pos + 1):
-                    return True
-                used[c] = False
-                assignment[i] = -1
-        return False
-
-    try:
-        if extend(0):
-            return assignment.copy()
-    except _DFSBudget:
-        return None
-    return None
-
-
-class _DFSBudget(Exception):
-    pass
+    match = (ru[:, :, None, None] == rw).all(axis=-1).astype(float)
+    count, perm = qap_count_max(match, (1,) * n)
+    return perm if count == n * n else None
 
 
 def delta_cut(
@@ -345,8 +299,11 @@ def delta_cut(
 
     The kernels are refined onto a common uniform grid and the labeled cut
     distance is minimized over permutations of the grid cells.  Shortcuts:
-    a permutation realizing exact block equality gives 0 immediately, and a
-    constant kernel makes every permutation equivalent.  For at most
+    a relabeling under which the blocks, rounded to 12 decimals, are equal
+    gives 0 immediately (``_equality_relabeling``: the identity, or up to
+    EXACT_PERM_MAX cells the lexicographically first such relabeling; beyond
+    the cap a relabeled copy that is not the same grid goes to annealing),
+    and a constant kernel makes every permutation equivalent.  For at most
     EXACT_PERM_MAX cells the enumeration is exhaustive: relabelings are
     raced against their pair-quotient lower bounds, with a rounding margin,
     and the certificate is the lexicographically first permutation attaining
@@ -360,7 +317,7 @@ def delta_cut(
     budget = budget or SearchBudget()
     ur, wr, n = _common_grid(u, w, cells)
 
-    perm = _find_equality_permutation(ur.entries, wr.entries)
+    perm = _equality_relabeling(ur.entries, wr.entries)
     if perm is not None:
         return SearchResult(0.0, True, perm, refinement=n)
 

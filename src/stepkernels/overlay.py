@@ -30,7 +30,7 @@ from .kernels import (
     uniform_refine,
 )
 from .measures import ABS_TOL, TestFamily
-from .metrics import _f_inner_sum, _f_interaction_tensor, f_inner
+from .metrics import _f_inner_sum, _f_interaction_tensor
 from .search import SearchBudget, SearchResult, qap_count_max, qap_optimize
 
 __all__ = [
@@ -347,13 +347,8 @@ def f_overlay(
     cells: Optional[int] = None,
 ) -> SearchResult:
     """Supremum over relabelings of the weighted family inner product."""
-    budget = budget or SearchBudget()
-    ur, wr, n = _common_grid(u, w, cells)
-    ur.space.require_same(fam.space)
-    if ur.is_constant() or wr.is_constant():
-        return SearchResult(f_inner(ur, wr, fam), True, np.arange(n, dtype=np.intp))
-    interactions = _f_interaction_tensor(ur, wr, fam.values, fam.scale_weights())
-    return qap_optimize(interactions, budget)
+    ur, wr, _ = _common_grid(u, w, cells)
+    return _f_overlay(ur, wr, fam, fam.values, fam.scale_weights(), budget)
 
 
 def f_overlay_truncated(
@@ -371,17 +366,19 @@ def f_overlay_truncated(
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    budget = budget or SearchBudget()
-    ur, wr, n = _common_grid(u, w)
-    ur.space.require_same(fam.space)
+    ur, wr, _ = _common_grid(u, w)
     keep = min(n_terms, len(fam) - 1)
-    values = fam.values[: keep + 1]
-    scale = fam.scale_weights()[: keep + 1]
-    q = u.sup_tv() * w.sup_tv()
-    bound = q / float(n_terms)
+    res = _f_overlay(ur, wr, fam, fam.values[: keep + 1], fam.scale_weights()[: keep + 1], budget)
+    return res, u.sup_tv() * w.sup_tv() / float(n_terms)
+
+
+def _f_overlay(ur, wr, fam, values, scale, budget) -> SearchResult:
+    """Family overlay of two kernels on one grid, over the family functions
+    ``values`` with weights ``scale``: a constant argument makes every
+    relabeling equivalent, otherwise ``qap_optimize`` on the interactions."""
+    ur.space.require_same(fam.space)
     if ur.is_constant() or wr.is_constant():
-        val = _f_inner_sum(ur, wr, values, scale)
-        return SearchResult(val, True, np.arange(n, dtype=np.intp)), bound
-    interactions = _f_interaction_tensor(ur, wr, values, scale)
-    return qap_optimize(interactions, budget), bound
+        value = _f_inner_sum(ur, wr, values, scale)
+        return SearchResult(value, True, np.arange(ur.n_parts, dtype=np.intp))
+    return qap_optimize(_f_interaction_tensor(ur, wr, values, scale), budget or SearchBudget())
 

@@ -32,7 +32,7 @@ from stepkernels import (
     uniform_refine,
 )
 from stepkernels import metrics
-from stepkernels.search import SearchBudget
+from stepkernels.search import SearchBudget, qap_count_max
 
 
 def random_prob_kernel(rng, space, parts):
@@ -281,15 +281,65 @@ def real_delta_oracle(w: RealStepKernel, u: RealStepKernel) -> float:
     return best
 
 
+def relabeled_pairs(rng, space, n):
+    """(w, relabeled w) for a random n-cell kernel and for an n-cell
+    refinement of a kernel on fewer, uneven parts (cells tied in groups)."""
+    cuts = np.sort(rng.choice(np.arange(1, n), size=min(2, n - 1), replace=False))
+    sizes = np.diff(np.concatenate([[0], cuts, [n]])) / n
+    base = random_prob_kernel(rng, space, sizes.size)
+    tied = uniform_refine(StepKernel(space, sizes, base.entries), n)
+    for w in (random_prob_kernel(rng, space, n), tied):
+        yield w, relabel(w, rng.permutation(n))
+
+
 class TestDeltaCut:
     def test_relabel_zero_with_inverse_certificate(self):
         rng = np.random.default_rng(2)
         z = DecorationSpace.two_point()
+        fam = TestFamily.default(z)
+        for n in range(2, 9):
+            for w, v in relabeled_pairs(rng, z, n):
+                for metric in ("lp", "f"):
+                    res = delta_cut(w, v, metric=metric, fam=fam)
+                    assert res.value == 0.0 and res.exact
+                    assert relabel(v, res.certificate).approx_eq(w)
+                    if n > 6:
+                        continue
+                    # the lexicographically first equality relabeling
+                    first = next(
+                        p for p in itertools.permutations(range(n))
+                        if np.array_equal(relabel(v, p).entries, w.entries)
+                    )
+                    assert res.certificate.tolist() == list(first)
+
+    def test_equality_search_needs_equal_entry_multisets(self, monkeypatch):
+        calls = []
+
+        def counting(table, counts):
+            calls.append(len(counts))
+            return qap_count_max(table, counts)
+
+        monkeypatch.setattr(metrics, "qap_count_max", counting)
+        rng = np.random.default_rng(12)
+        z = DecorationSpace.two_point()
+        u = random_prob_kernel(rng, z, 5)
         w = random_prob_kernel(rng, z, 5)
-        pi = rng.permutation(5)
-        res = delta_cut(w, relabel(w, pi), metric="lp")
-        assert res.value == 0.0 and res.exact
-        assert relabel(relabel(w, pi), res.certificate).approx_eq(w)
+        assert delta_cut(u, w, metric="lp").value > 0.0
+        assert calls == []
+        assert delta_cut(u, relabel(u, rng.permutation(5)), metric="lp").value == 0.0
+        assert calls == [5]
+
+    def test_relabeled_copy_beyond_cap_is_annealed(self):
+        # beyond EXACT_PERM_MAX cells only the identity is tried for equality
+        rng = np.random.default_rng(13)
+        z = DecorationSpace.two_point()
+        w = random_prob_kernel(rng, z, 9)
+        pi = np.roll(np.arange(9), 1)
+        res = delta_cut(w, relabel(w, pi), metric="lp", budget=SearchBudget(restarts=1, steps=20))
+        assert not res.exact
+        assert res.value == pytest.approx(
+            cut_dist_lp(w, relabel(relabel(w, pi), res.certificate)), abs=1e-12
+        )
 
     def test_constant_kernels(self):
         z = DecorationSpace.two_point()
@@ -359,8 +409,9 @@ class TestDeltaCut:
         rng = np.random.default_rng(10)
         z = DecorationSpace.discrete(range(3))
         fam = TestFamily.default(z)
-        w = random_prob_kernel(rng, z, 3)
-        for n in (6, 9):
+        three = random_prob_kernel(rng, z, 3)
+        two = random_prob_kernel(rng, z, 2)
+        for w, n in ((three, 6), (three, 9), (two, 10), (three, 12)):
             refined = uniform_refine(w, n)
             assert delta_cut(w, refined, metric="lp").value == 0.0
             assert delta_cut(w, refined, metric="f", fam=fam).value == 0.0
