@@ -2,9 +2,10 @@
 
 Measures on a finite metric space are dense weight vectors indexed by the
 space's points.  Two metrizations of weak convergence are provided: the exact
-Levy-Prokhorov distance (an upward threshold scan over the closed subsets
-that stops at the first feasible threshold, so only practical for small
-spaces) and the norm induced by a finite family of [0,1]-valued test functions.
+Levy-Prokhorov distance (a bisection over the thresholds for the first
+feasible one, each probe a pass over the closed subsets, so only practical
+for small spaces) and the norm induced by a finite family of [0,1]-valued
+test functions.
 """
 
 from __future__ import annotations
@@ -375,12 +376,18 @@ def lp_distance_batch(space: DecorationSpace, mus: np.ndarray, nus: np.ndarray) 
 
     On threshold interval r the enlargement U^r is constant, so a pair needs
     eps at least its gap G_r, the largest mu(U) - nu(U^r) or nu(U) - mu(U^r).
-    Scanning upward, a pair stops at the first r with G_r <= t_(r+1), at
-    max(G_r, t_r): later intervals give at least t_(r+1).  Only nonempty
-    closed U are scanned, as for nonnegative weights no set beats its
-    closure.  The 2**m subset masses of a pair are one ``subset_sums`` fold,
-    which rounds alike in any batch; a call is split into blocks of pairs
-    only to keep each table within about 64 * ``LP_CHUNK`` entries.
+    A pair's value is max(G_r, t_r) at the first r with G_r <= t_(r+1):
+    later intervals give at least t_(r+1).  G_r never grows with r, as U^r
+    only grows, and the rounded masses keep that order since an ascending
+    fold of nonnegative entries never shrinks on a larger set; t_(r+1)
+    grows, so every r past the first feasible one is feasible too.  A
+    bisection over the threshold index finds it (Strassen 1965 for the
+    threshold form) in about log2 R probes a pair for R thresholds, where
+    an upward scan probes every threshold below it.  Only nonempty closed U
+    are probed, as for nonnegative weights no set beats its closure.  The
+    2**m subset masses of a pair are one ``subset_sums`` fold, which rounds
+    alike in any batch; a call is split into blocks of pairs only to keep
+    each table within about 64 * ``LP_CHUNK`` entries.
     """
     m = space.size
     if m > LP_EXACT_MAX_POINTS:
@@ -401,25 +408,41 @@ def lp_distance_batch(space: DecorationSpace, mus: np.ndarray, nus: np.ndarray) 
 
 
 def _lp_scan(space: DecorationSpace, mus: np.ndarray, nus: np.ndarray) -> np.ndarray:
-    """The threshold scan of ``lp_distance_batch`` on one block of pairs."""
-    thresholds = space.thresholds()
-    # mass of every subset, for every pair still scanned: (2**m, B)
+    """The threshold bisection of ``lp_distance_batch`` on one block of pairs."""
+    # mass of every subset, for every pair: (2**m, B)
     mu_sub = subset_sums(mus.T)
     nu_sub = subset_sums(nus.T)
     out = np.empty(len(mus))
-    todo = np.arange(len(mus))
-    for r, t in enumerate(thresholds):
-        sets, near = space._closed_sets(r)
-        gap = np.maximum((mu_sub[sets] - nu_sub[near]).max(axis=0),
-                         (nu_sub[sets] - mu_sub[near]).max(axis=0))
-        required = np.maximum(gap, 0.0)
-        done = required <= (thresholds[r + 1] if r + 1 < len(thresholds) else np.inf)
-        out[todo[done]] = np.maximum(required[done], t)
-        if done.all():
-            break
-        if done.any():
-            todo, mu_sub, nu_sub = todo[~done], mu_sub[:, ~done], nu_sub[:, ~done]
+    _lp_bisect(space, mu_sub, nu_sub, np.arange(len(mus)), 0, len(space.thresholds()), out)
     return out
+
+
+def _lp_bisect(space, mu_sub, nu_sub, pairs, lo, hi, out) -> None:
+    """Write to ``out`` the value of each of the ``pairs`` columns whose first
+    feasible threshold lies in [lo, hi).
+
+    Probes the lower middle r: as G_r never grows with r, the pairs feasible
+    at r stop in [lo, r] and the rest in [r + 1, hi).
+    """
+    thresholds = space.thresholds()
+    r = (lo + hi - 1) // 2
+    sets, near = space._closed_sets(r)
+    cols = pairs if len(pairs) < mu_sub.shape[1] else None
+
+    def masses(table, subsets):
+        # rows before columns, so no column copy of a whole table is made
+        rows = table[subsets]
+        return rows if cols is None else np.take(rows, cols, axis=1)
+
+    gap = np.maximum((masses(mu_sub, sets) - masses(nu_sub, near)).max(axis=0),
+                     (masses(nu_sub, sets) - masses(mu_sub, near)).max(axis=0))
+    required = np.maximum(gap, 0.0)
+    done = required <= (thresholds[r + 1] if r + 1 < len(thresholds) else np.inf)
+    out[pairs[done]] = np.maximum(required[done], thresholds[r])
+    if lo < r and done.any():
+        _lp_bisect(space, mu_sub, nu_sub, pairs[done], lo, r, out)
+    if r + 1 < hi and not done.all():
+        _lp_bisect(space, mu_sub, nu_sub, pairs[~done], r + 1, hi, out)
 
 
 def lp_feasible(mu: SignedMeasure, nu: SignedMeasure, eps: float) -> bool:

@@ -328,7 +328,10 @@ def lp_rectangle_max(space, blocks_u: np.ndarray, blocks_w: np.ndarray) -> np.nd
     nu(U) - mu(U^r) over U, and G_r does not grow with r; so a pair's
     distance is max(G_r, t_r) at the first r with G_r <= t_(r+1), and the
     supremum over rectangles is the same scan on the rectangle suprema of the
-    gaps.  Only closed U can attain a gap.  The masses of every subset are
+    gaps.  It scans upward where ``measures.lp_distance_batch`` bisects,
+    because rectangle suprema stop at the first few thresholds (r = 1-4 on
+    the cut distances of 3-5 parts at m = 6-8), below a bisection's first
+    probe.  Only closed U can attain a gap.  The masses of every subset are
     one ``measures.subset_sums`` fold when they fit in 32 *
     ``measures.LP_CHUNK`` entries a side; otherwise each chunk of closed U
     forms its own, within 64 * LP_CHUNK gap entries, so large spaces stay in

@@ -418,7 +418,75 @@ def measure_rows(rng, b, m):
     return w
 
 
+def scan_upward(space, mus, nus):
+    """The Levy-Prokhorov threshold search as an upward scan (test-local):
+    each pair stops at the first threshold r whose gap over the closed
+    subsets is at most t_(r+1), with value max(gap, t_r)."""
+    thresholds = space.thresholds()
+    mu_sub, nu_sub = measures.subset_sums(mus.T), measures.subset_sums(nus.T)
+    out = np.empty(len(mus))
+    todo = np.arange(len(mus))
+    for r, t in enumerate(thresholds):
+        sets, near = space._closed_sets(r)
+        gap = np.maximum((mu_sub[sets] - nu_sub[near]).max(axis=0),
+                         (nu_sub[sets] - mu_sub[near]).max(axis=0))
+        required = np.maximum(gap, 0.0)
+        done = required <= (thresholds[r + 1] if r + 1 < len(thresholds) else np.inf)
+        out[todo[done]] = np.maximum(required[done], t)
+        todo, mu_sub, nu_sub = todo[~done], mu_sub[:, ~done], nu_sub[:, ~done]
+        if todo.size == 0:
+            break
+    return out
+
+
+def record_probes(monkeypatch):
+    """The thresholds r whose closed sets are read, in call order."""
+    probes = []
+    closed = DecorationSpace._closed_sets
+    monkeypatch.setattr(DecorationSpace, "_closed_sets",
+                        lambda self, r: probes.append(r) or closed(self, r))
+    return probes
+
+
 class TestLPScan:
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_bisection_bit_equal_to_upward_scan(self, m):
+        rng = np.random.default_rng([23, m])
+        for z in spaces_of_size(rng, m):
+            for b in (1, 2, 7, 192):
+                mus, nus = measure_rows(rng, b, m), measure_rows(rng, b, m)[::-1]
+                tiny = mus.copy()
+                tiny[rng.random(tiny.shape) < 0.3] = -1e-17
+                # unlike pairs, identical pairs (all done at r = 0), and
+                # -1e-17 entries as flipped rectangle rows carry
+                for a, c in ((mus, nus), (nus, nus), (tiny, nus)):
+                    assert np.array_equal(lp_distance_batch(z, a, c), scan_upward(z, a, c))
+
+    def test_probes_per_pair_logarithmic(self, monkeypatch):
+        probes = record_probes(monkeypatch)
+        rng = np.random.default_rng(29)
+        z = random_metric_space(rng, 12)
+        cap = int(np.ceil(np.log2(len(z.thresholds())))) + 1
+        for _ in range(20):
+            probes.clear()
+            lp_distance_batch(z, rng.dirichlet(np.ones(12), size=1), rng.dirichlet(np.ones(12), size=1))
+            assert len(probes) <= cap and len(set(probes)) == len(probes)
+
+    def test_two_point_batches_probe_as_a_scan(self, monkeypatch):
+        # the m = 2 batches of the criterion-6 experiment: a batch done at
+        # r = 0 probes r = 0 only, and any other probes r = 0, then r = 1
+        probes = record_probes(monkeypatch)
+        z = DecorationSpace.two_point(distance=0.25)
+        rng = np.random.default_rng(31)
+        for b in (1, 64):
+            w = rng.dirichlet(np.ones(2), size=b)
+            probes.clear()
+            lp_distance_batch(z, w, w)
+            assert probes == [0]
+            probes.clear()
+            lp_distance_batch(z, w, w[::-1] * 0.5)
+            assert probes == [0, 1]
+
     @pytest.mark.parametrize("m", range(1, 11))
     def test_bit_equal_to_all_subsets_scan(self, m):
         rng = np.random.default_rng([5, m])

@@ -434,6 +434,31 @@ class TestDelta2F:
         res = delta_2f(u, u, fam)
         assert res.value == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("cells", [9, 12])
+    def test_equal_grids_past_exact_cap_certified_at_identity(self, monkeypatch, cells):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("equal grids sent to the permutation search")
+
+        monkeypatch.setattr(metrics, "qap_optimize", unreachable)
+        rng = np.random.default_rng(14)
+        z = DecorationSpace.discrete(range(3))
+        fam = TestFamily.default(z)
+        w = random_prob_kernel(rng, z, 3)
+        res = delta_2f(w, uniform_refine(w, cells), fam)
+        assert (res.value, res.exact, res.refinement) == (0.0, True, cells)
+        assert res.certificate.tolist() == list(range(cells))
+
+    def test_equal_grids_within_exact_cap_keep_the_search(self, monkeypatch):
+        calls = []
+        search = metrics.qap_optimize
+        monkeypatch.setattr(metrics, "qap_optimize", lambda *a: calls.append(1) or search(*a))
+        rng = np.random.default_rng(14)
+        z = DecorationSpace.discrete(range(3))
+        fam = TestFamily.default(z)
+        w = random_prob_kernel(rng, z, 3)
+        res = delta_2f(w, uniform_refine(w, 6), fam)
+        assert calls == [1] and res.exact and res.value == pytest.approx(0.0, abs=1e-9)
+
     def test_single_part_no_optimization(self):
         z = DecorationSpace.two_point()
         fam = TestFamily.default(z)
