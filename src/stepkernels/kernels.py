@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Optional, TypeVar
 
@@ -50,9 +51,10 @@ def _check_part_sizes(part_sizes) -> np.ndarray:
     lam = np.array(part_sizes, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("part_sizes must be a non-empty vector")
-    if lam.min() <= 0:
+    # phrased so that NaN fails each test
+    if not lam.min() > 0:
         raise ValueError("part sizes must be strictly positive")
-    if abs(lam.sum() - 1.0) > ABS_TOL * max(1, lam.size):
+    if not abs(lam.sum() - 1.0) <= ABS_TOL * max(1, lam.size):
         raise ValueError(f"part sizes must sum to 1, got {lam.sum()!r}")
     lam.setflags(write=False)
     return lam
@@ -241,7 +243,7 @@ class CbGraph:
             a = np.array(alpha, dtype=float)
             if a.shape != (k,):
                 raise ValueError(f"alpha must have shape ({k},)")
-            if a.min() < -ABS_TOL or abs(a.sum() - 1.0) > 1e-9:
+            if not (a.min() >= -ABS_TOL and abs(a.sum() - 1.0) <= 1e-9):  # NaN fails
                 raise ValueError("alpha must be a probability vector")
             a = np.maximum(a, 0.0)
         b.setflags(write=False)
@@ -337,16 +339,25 @@ def aggregate_measure(kernel: StepKernel) -> SignedMeasure:
     return SignedMeasure(kernel.space, w)
 
 
+@lru_cache(maxsize=1024)
+def _denominator(lam: float, cap: int) -> Optional[int]:
+    """Denominator of the closest fraction to ``lam`` with denominator at most
+    ``cap``, or None when that fraction is further than PART_TOL from it.
+    Kernels repeat their part sizes, so each is rounded once."""
+    frac = Fraction(lam).limit_denominator(cap)
+    return frac.denominator if abs(float(frac) - lam) <= PART_TOL else None
+
+
 def minimal_refinement(part_sizes, cap: int = DEFAULT_DENOMINATOR_CAP) -> int:
     """Smallest n such that every part size is an integer multiple of 1/n."""
     n = 1
     for lam in np.asarray(part_sizes, dtype=float):
-        frac = Fraction(lam).limit_denominator(cap)
-        if abs(float(frac) - lam) > PART_TOL:
+        d = _denominator(float(lam), cap)
+        if d is None:
             raise ValueError(
                 f"part size {lam!r} is not rational with denominator <= {cap}"
             )
-        n = n * frac.denominator // gcd(n, frac.denominator)
+        n = n * d // gcd(n, d)
     return n
 
 

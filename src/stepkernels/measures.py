@@ -172,6 +172,12 @@ class DecorationSpace:
         U is closed when it holds every point whose enlargement lies inside
         U's; only closed U can attain a Levy-Prokhorov gap.  Returns two int
         arrays of subset indices (bit x for point x): the closed U, and U^r.
+
+        The closure of U is the complement of the enlargement of the
+        complement of U^r: x leaves it exactly when some point within t_r of
+        x lies outside U^r, and as ``dist`` is symmetric those points are the
+        enlargement of that complement (the Galois closure of a symmetric
+        relation).  So it is two gathers of the enlargement table.
         """
         key = ("closed", r)
         if key not in self._cache:
@@ -180,9 +186,8 @@ class DecorationSpace:
             near = np.zeros(1 << self.size, dtype=np.intp)
             for x in range(self.size):
                 np.bitwise_or(near[: 1 << x], single[x], out=near[1 << x : 2 << x])
-            held = np.zeros_like(near)
-            for x in range(self.size):
-                held[(single[x] & ~near) == 0] |= 1 << x
+            full = near.size - 1
+            held = full ^ near[full ^ near]
             sets = np.flatnonzero(held == np.arange(near.size))[1:]
             self._cache[key] = (_frozen(sets, np.intp), _frozen(near[sets], np.intp))
         return self._cache[key]

@@ -508,5 +508,6 @@ def _f_interaction_tensor(
     n = u.n_parts
     fu = u.entries @ values.T
     fw = w.entries @ values.T
-    t = np.einsum("abk,cdk,k->abcd", fu, fw, scale, optimize=True)
+    # the path optimize=True picks for these shapes, without planning it per call
+    t = np.einsum("abk,cdk,k->abcd", fu, fw, scale, optimize=["einsum_path", (0, 2), (0, 1)])
     return t / float(n * n)

@@ -119,7 +119,7 @@ def _cell_masses(alpha, k: int) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (k,):
         raise ValueError(f"alpha must have shape ({k},)")
-    if alpha.min() < 0 or abs(alpha.sum() - 1.0) > MARGIN_TOL:
+    if not (alpha.min() >= 0 and abs(alpha.sum() - 1.0) <= MARGIN_TOL):  # NaN fails
         raise ValueError("alpha must be a probability vector")
     return alpha
 

@@ -67,7 +67,7 @@ class Quotient:
         a = np.array(alpha, dtype=float)
         b = np.array(beta, dtype=float)
         k = a.size
-        if a.min() < -DEGENERATE_TOL or abs(a.sum() - 1.0) > 1e-9:
+        if not (a.min() >= -DEGENERATE_TOL and abs(a.sum() - 1.0) <= 1e-9):  # NaN fails
             raise ValueError("vertex weights must be a probability vector")
         a = np.maximum(a, 0.0)
         if b.shape != (k, k, space.size):
@@ -428,11 +428,15 @@ def _pairwise_lp(rows_a, rows_b, space, reduce) -> np.ndarray:
     between rows_a[i] and rows_b[j], both (n, r, m) and nonnegative.
 
     Member pairs are gathered in chunks of whole pairs, one
-    ``lp_distance_batch`` call per chunk of about ``LP_CHUNK / 2**m`` rows.
+    ``lp_distance_batch`` call per chunk of about ``LP_CHUNK / 4`` rows,
+    whatever m is: each call pays a bisection of about log2 R probes for R
+    thresholds, so fewer and larger calls waste less on small spaces, and
+    ``lp_distance_batch`` itself splits a call whose subset tables would
+    outgrow its blocks.  Its values round alike in any batch.
     """
     na, r, m = rows_a.shape
     nb = rows_b.shape[0]
-    per_call = max(1, (measures.LP_CHUNK >> m) // r)
+    per_call = max(1, (measures.LP_CHUNK >> 2) // r)
     out = np.empty(na * nb)
     for start in range(0, na * nb, per_call):
         pairs = np.arange(start, min(start + per_call, na * nb))

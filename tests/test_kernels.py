@@ -1,8 +1,12 @@
 """Kernel layer: constructors, refinement, relabeling, pairing."""
 
+from fractions import Fraction
+from math import gcd
+
 import numpy as np
 import pytest
 
+from stepkernels import kernels
 from stepkernels import (
     CbGraph,
     CbStepKernel,
@@ -36,6 +40,17 @@ class TestStepKernel:
         z = DecorationSpace.two_point()
         with pytest.raises(ValueError, match="sum to 1"):
             StepKernel(z, [0.5, 0.6], np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("sizes", [[np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan]])
+    def test_nan_part_size_rejected(self, sizes):
+        z = DecorationSpace.two_point()
+        with pytest.raises(ValueError, match="part sizes"):
+            StepKernel(z, sizes, np.full((2, 2, 2), 0.5))
+
+    @pytest.mark.parametrize("sizes", [[np.nan, 1.0], [0.5, np.nan]])
+    def test_real_kernel_nan_part_size_rejected(self, sizes):
+        with pytest.raises(ValueError, match="part sizes"):
+            RealStepKernel(sizes, [[0.2, 0.8], [0.8, 0.2]])
 
     def test_kind_classification(self):
         z = DecorationSpace.two_point()
@@ -178,6 +193,48 @@ class TestRefine:
         assert minimal_refinement([1 / 3, 1 / 6, 0.5]) == 6
         with pytest.raises(ValueError, match="rational"):
             minimal_refinement([1 / np.pi, 1 - 1 / np.pi], cap=50)
+
+    @pytest.mark.parametrize("sizes, cap", [
+        ([0.5, 0.5], 120),
+        ([1 / 3, 1 / 6, 0.5], 120),
+        ([1 / 101, 100 / 101], 120),
+        ([1 / 101, 100 / 101], 50),
+        ([1 / np.pi, 1 - 1 / np.pi], 50),
+        ([1 / np.pi, 1 - 1 / np.pi], 10_000),
+        ([0.25, 0.25, 0.5], 3),
+        ([1 / 7] * 7, 120),
+    ])
+    def test_minimal_refinement_matches_uncached(self, sizes, cap):
+        def uncached():
+            n = 1
+            for lam in np.asarray(sizes, dtype=float):
+                frac = Fraction(lam).limit_denominator(cap)
+                if abs(float(frac) - lam) > kernels.PART_TOL:
+                    raise ValueError(
+                        f"part size {lam!r} is not rational with denominator <= {cap}"
+                    )
+                n = n * frac.denominator // gcd(n, frac.denominator)
+            return n
+
+        for _ in range(2):  # a cold and a cached call
+            try:
+                want = uncached()
+            except ValueError as err:
+                with pytest.raises(ValueError) as got:
+                    minimal_refinement(sizes, cap)
+                assert str(got.value) == str(err)
+            else:
+                assert minimal_refinement(sizes, cap) == want
+
+    def test_denominator_cache_keeps_caps_apart(self):
+        # one size, rational under one cap and not under a smaller one,
+        # in either order
+        assert minimal_refinement([1 / 101, 100 / 101]) == 101
+        with pytest.raises(ValueError, match="denominator <= 100"):
+            minimal_refinement([1 / 101, 100 / 101], cap=100)
+        with pytest.raises(ValueError, match="denominator <= 90"):
+            minimal_refinement([1 / 103, 102 / 103], cap=90)
+        assert minimal_refinement([1 / 103, 102 / 103], cap=103) == 103
 
     def test_common_refinement(self):
         z = DecorationSpace.two_point()
@@ -332,6 +389,12 @@ class TestCbGraph:
         for v in range(3):
             assert np.all(k.entries[v, v] == 0.0)
         assert len(g.edges()) == 6
+
+    @pytest.mark.parametrize("alpha", [[np.nan, 1.0], [0.5, np.nan]])
+    def test_nan_alpha_rejected(self, alpha):
+        z = DecorationSpace.two_point()
+        with pytest.raises(ValueError, match="probability vector"):
+            CbGraph(z, np.zeros((2, 2, 2)), alpha)
 
     def test_alpha_default_uniform(self):
         z = DecorationSpace.two_point()

@@ -597,3 +597,49 @@ class TestGreedyBracket:
         assert (est.lower, est.value, est.upper) == (
             float.fromhex(lower), float.fromhex(upper), float.fromhex(upper)
         )
+
+
+def closed_sets_by_held_loop(space, r):
+    """Closed sets at threshold r by testing every point against every
+    enlargement, one pass per point (test-local): x is in the closure of U
+    when its own enlargement lies inside U's."""
+    m = space.size
+    within = space.dist <= space.thresholds()[r] + measures.ABS_TOL
+    single = within.astype(np.intp) @ (1 << np.arange(m))
+    near = np.zeros(1 << m, dtype=np.intp)
+    for x in range(m):
+        np.bitwise_or(near[: 1 << x], single[x], out=near[1 << x : 2 << x])
+    held = np.zeros_like(near)
+    for x in range(m):
+        held[(single[x] & ~near) == 0] |= 1 << x
+    sets = np.flatnonzero(held == np.arange(near.size))[1:]
+    return sets, near[sets]
+
+
+def euclidean_space(rng, m, decimals=None):
+    """m points uniform in the unit square; with ``decimals``, distances are
+    rounded (many ties) and then closed under the triangle inequality."""
+    pts = rng.random((m, 2))
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    if decimals is not None:
+        d = np.maximum(np.round(d, decimals), 10.0 ** -decimals)
+        np.fill_diagonal(d, 0.0)
+        for k in range(m):
+            d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    return DecorationSpace(tuple(range(m)), d)
+
+
+class TestClosedSets:
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_double_complement_equals_held_loop(self, m):
+        rng = np.random.default_rng([37, m])
+        spaces = [euclidean_space(rng, m), euclidean_space(rng, m, decimals=1),
+                  DecorationSpace.discrete(range(m))]
+        if m == 2:
+            spaces.append(DecorationSpace.two_point(distance=0.25))
+        for z in spaces:
+            for r in range(len(z.thresholds())):
+                sets, near = z._closed_sets(r)
+                want_sets, want_near = closed_sets_by_held_loop(z, r)
+                assert sets.dtype == want_sets.dtype and near.dtype == want_near.dtype
+                assert np.array_equal(sets, want_sets) and np.array_equal(near, want_near)

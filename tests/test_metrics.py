@@ -494,6 +494,17 @@ class TestDelta2F:
         )
         assert res.value == pytest.approx(brute, abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_planned_interaction_tensor_equals_optimized(self, n):
+        rng = np.random.default_rng([19, n])
+        for z in (DecorationSpace.two_point(), DecorationSpace.discrete(range(4))):
+            fam = TestFamily.default(z)
+            u, w = random_prob_kernel(rng, z, n), random_prob_kernel(rng, z, n)
+            fu, fw = u.entries @ fam.values.T, w.entries @ fam.values.T
+            want = np.einsum("abk,cdk,k->abcd", fu, fw, fam.scale_weights(), optimize=True)
+            got = metrics._f_interaction_tensor(u, w, fam.values, fam.scale_weights())
+            assert np.array_equal(got, want / float(n * n))
+
     def test_norm_and_inner_consistency(self):
         rng = np.random.default_rng(13)
         z = DecorationSpace.discrete(range(3))

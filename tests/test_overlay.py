@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,16 @@ class TestOverlayGraph:
         g = CbGraph.from_edges(RUNNING_KERNEL.space, 2, [(0, 1, [0.0, 1.0])])
         with pytest.raises(ValueError, match="probability vector"):
             overlay_graph(RUNNING_KERNEL, g, alpha=alpha, cells=4)
+
+    @pytest.mark.parametrize("cells", [None, 4])
+    @pytest.mark.parametrize("alpha", [[np.nan, 1.0], [0.5, np.nan]])
+    def test_nan_alpha_rejected(self, alpha, cells):
+        # not warned about as irrational and sent to the ascent
+        g = CbGraph.from_edges(RUNNING_KERNEL.space, 2, [(0, 1, [0.0, 1.0])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="probability vector"):
+                overlay_graph(RUNNING_KERNEL, g, alpha=alpha, cells=cells)
 
     def test_irrational_alpha_falls_back_with_warning(self):
         z = RUNNING_KERNEL.space

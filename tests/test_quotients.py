@@ -190,6 +190,12 @@ class TestQuotientConstruction:
                 assert np.array_equal(got[0], alpha[i])
                 assert np.array_equal(got[1], beta[i])
 
+    @pytest.mark.parametrize("alpha", [[np.nan, 1.0], [0.5, np.nan]])
+    def test_nan_vertex_weights_rejected(self, alpha):
+        z = DecorationSpace.two_point()
+        with pytest.raises(ValueError, match="probability vector"):
+            Quotient(z, alpha, np.full((2, 2, 2), 0.5))
+
     def test_infeasible_overlap_rejected(self):
         with pytest.raises(ValueError, match="row sums"):
             quotient(RUNNING_KERNEL, OverlapMatrix([[0.3, 0.3], [0.1, 0.4]]))
